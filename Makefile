@@ -71,7 +71,9 @@ bench:
 # Machine-readable baseline for the incremental evaluation layer: cached
 # vs naive-oracle ns/op, allocs/op, slots/sec, and speedups, written to
 # BENCH_incremental.json. Fails if NashGap or Slot at M=500 is <5x faster
-# than the oracle. Raise BENCHTIME for stable committed numbers.
+# than the oracle, or if a cached slot benchmark allocates more per op than
+# its recorded ceiling (benchcore.SlotAllocCeilings). Raise BENCHTIME for
+# stable committed numbers.
 BENCHTIME ?= 500ms
 BENCH_OUT ?= BENCH_incremental.json
 bench-core:

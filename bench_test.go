@@ -190,6 +190,17 @@ func BenchmarkSlot(b *testing.B) {
 	runIncrementalPair(b, benchcore.SlotCached, benchcore.SlotNaive)
 }
 
+// BenchmarkNashGapDense and BenchmarkSlotDense run the same bodies on a
+// world shaped like the city scenarios (about 60 tasks per route), where
+// the best-response probe dominates a slot.
+func BenchmarkNashGapDense(b *testing.B) {
+	runIncrementalPair(b, benchcore.NashGapDenseCached, benchcore.NashGapDenseNaive)
+}
+
+func BenchmarkSlotDense(b *testing.B) {
+	runIncrementalPair(b, benchcore.SlotDenseCached, benchcore.SlotDenseNaive)
+}
+
 func BenchmarkPotentialIncremental(b *testing.B) {
 	runIncrementalPair(b, benchcore.PotentialCached, benchcore.PotentialNaive)
 }

@@ -112,6 +112,10 @@ func main() {
 
 		writeJSON(*out, &rep)
 
+		if err := rep.CheckSlotAllocs(); err != nil {
+			fmt.Fprintf(os.Stderr, "benchcore: %v\n", err)
+			os.Exit(1)
+		}
 		if *minSpeedup > 0 {
 			for _, metric := range []string{"NashGap", "Slot"} {
 				if got := rep.SpeedupFor(metric, 500); got < *minSpeedup {

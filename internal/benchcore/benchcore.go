@@ -14,6 +14,7 @@ package benchcore
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -23,32 +24,49 @@ import (
 	"repro/internal/rng"
 )
 
-// game is one cached benchmark world: an M-user, M-task instance with a
-// fixed random initial profile far from equilibrium.
+// game is one cached benchmark world: an M-user instance with a fixed
+// random initial profile far from equilibrium.
 type game struct {
 	in      *core.Instance
 	choices []int
 }
 
+// gameKey names a benchmark world: its user count and whether its routes
+// are dense.
+type gameKey struct {
+	m     int
+	dense bool
+}
+
 var (
 	gamesMu sync.Mutex
-	games   = map[int]*game{}
+	games   = map[gameKey]*game{}
 )
 
 // gameFor builds (once) and returns the benchmark world for M users.
-// Instances scale tasks with users, so M=5000 exercises the regime the
-// ROADMAP targets rather than a toy task set.
-func gameFor(m int) *game {
+//
+// The sparse world is a Table-2 instance with M tasks and at most four
+// tasks per route, so M=5000 exercises the regime the ROADMAP targets
+// rather than a toy task set. The dense world is shaped like the city
+// scenarios (about 60 tasks per route, each task on the routes of a few
+// hundred users): max(M/2, 150) tasks and routes of 0–120 tasks.
+func gameFor(m int, dense bool) *game {
 	gamesMu.Lock()
 	defer gamesMu.Unlock()
-	if g, ok := games[m]; ok {
+	key := gameKey{m, dense}
+	if g, ok := games[key]; ok {
 		return g
 	}
-	s := rng.New(uint64(9000 + m))
-	in := core.RandomInstance(core.DefaultRandomConfig(m, m), s.Child())
+	seed, cfg := uint64(9000+m), core.DefaultRandomConfig(m, m)
+	if dense {
+		seed, cfg = uint64(19000+m), core.DefaultRandomConfig(m, max(m/2, 150))
+		cfg.TasksPerRouteMax = 120
+	}
+	s := rng.New(seed)
+	in := core.RandomInstance(cfg, s.Child())
 	p := core.RandomProfile(in, s.Child())
 	g := &game{in: in, choices: p.Choices()}
-	games[m] = g
+	games[key] = g
 	return g
 }
 
@@ -72,9 +90,39 @@ func naiveFor(g *game) *core.Naive {
 
 // NashGapCached measures Profile.NashGap: every probe is an O(|Δroutes|)
 // ProfitDeltaIf over maintained counts.
-func NashGapCached(m int) func(b *testing.B) {
+func NashGapCached(m int) func(b *testing.B) { return nashGapCached(m, false) }
+
+// NashGapNaive measures the oracle's NashGap: every probe recomputes the
+// participant counts from scratch.
+func NashGapNaive(m int) func(b *testing.B) { return nashGapNaive(m, false) }
+
+// NashGapDenseCached is NashGapCached on the dense, city-shaped world.
+func NashGapDenseCached(m int) func(b *testing.B) { return nashGapCached(m, true) }
+
+// NashGapDenseNaive is NashGapNaive on the dense, city-shaped world.
+func NashGapDenseNaive(m int) func(b *testing.B) { return nashGapNaive(m, true) }
+
+// SlotCached measures one platform decision slot's evaluation work on the
+// cached path: collect every user's update request (sharded best-response
+// evaluation with τ_i and B_i) and run Algorithm 3's PUU selection. The
+// profile is not mutated, so every iteration measures the same stationary
+// workload.
+func SlotCached(m int) func(b *testing.B) { return slotCached(m, false) }
+
+// SlotNaive measures the same slot against the oracle: per-user best
+// responses, τ_i, and B_i all evaluated from scratch, then the identical
+// PUU selection.
+func SlotNaive(m int) func(b *testing.B) { return slotNaive(m, false) }
+
+// SlotDenseCached is SlotCached on the dense, city-shaped world.
+func SlotDenseCached(m int) func(b *testing.B) { return slotCached(m, true) }
+
+// SlotDenseNaive is SlotNaive on the dense, city-shaped world.
+func SlotDenseNaive(m int) func(b *testing.B) { return slotNaive(m, true) }
+
+func nashGapCached(m int, dense bool) func(b *testing.B) {
 	return func(b *testing.B) {
-		p := profileFor(gameFor(m))
+		p := profileFor(gameFor(m, dense))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -83,11 +131,9 @@ func NashGapCached(m int) func(b *testing.B) {
 	}
 }
 
-// NashGapNaive measures the oracle's NashGap: every probe recomputes the
-// participant counts from scratch.
-func NashGapNaive(m int) func(b *testing.B) {
+func nashGapNaive(m int, dense bool) func(b *testing.B) {
 	return func(b *testing.B) {
-		o := naiveFor(gameFor(m))
+		o := naiveFor(gameFor(m, dense))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -96,14 +142,9 @@ func NashGapNaive(m int) func(b *testing.B) {
 	}
 }
 
-// SlotCached measures one platform decision slot's evaluation work on the
-// cached path: collect every user's update request (sharded best-response
-// evaluation with τ_i and B_i) and run Algorithm 3's PUU selection. The
-// profile is not mutated, so every iteration measures the same stationary
-// workload.
-func SlotCached(m int) func(b *testing.B) {
+func slotCached(m int, dense bool) func(b *testing.B) {
 	return func(b *testing.B) {
-		p := profileFor(gameFor(m))
+		p := profileFor(gameFor(m, dense))
 		s := rng.New(1)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -116,12 +157,9 @@ func SlotCached(m int) func(b *testing.B) {
 	}
 }
 
-// SlotNaive measures the same slot against the oracle: per-user best
-// responses, τ_i, and B_i all evaluated from scratch, then the identical
-// PUU selection.
-func SlotNaive(m int) func(b *testing.B) {
+func slotNaive(m int, dense bool) func(b *testing.B) {
 	return func(b *testing.B) {
-		g := gameFor(m)
+		g := gameFor(m, dense)
 		o := naiveFor(g)
 		s := rng.New(1)
 		b.ReportAllocs()
@@ -169,7 +207,7 @@ func naiveRequests(in *core.Instance, o *core.Naive, s *rng.Stream) []engine.Req
 // PotentialCached measures the O(1) cached Φ read.
 func PotentialCached(m int) func(b *testing.B) {
 	return func(b *testing.B) {
-		p := profileFor(gameFor(m))
+		p := profileFor(gameFor(m, false))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -181,7 +219,7 @@ func PotentialCached(m int) func(b *testing.B) {
 // PotentialNaive measures the from-scratch Φ evaluation (Eq. 8 as written).
 func PotentialNaive(m int) func(b *testing.B) {
 	return func(b *testing.B) {
-		o := naiveFor(gameFor(m))
+		o := naiveFor(gameFor(m, false))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -193,7 +231,7 @@ func PotentialNaive(m int) func(b *testing.B) {
 // TotalProfitCached measures the O(1) cached Σ_i P_i read.
 func TotalProfitCached(m int) func(b *testing.B) {
 	return func(b *testing.B) {
-		p := profileFor(gameFor(m))
+		p := profileFor(gameFor(m, false))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -205,7 +243,7 @@ func TotalProfitCached(m int) func(b *testing.B) {
 // TotalProfitNaive measures the from-scratch Σ_i P_i evaluation.
 func TotalProfitNaive(m int) func(b *testing.B) {
 	return func(b *testing.B) {
-		o := naiveFor(gameFor(m))
+		o := naiveFor(gameFor(m, false))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -219,7 +257,7 @@ func TotalProfitNaive(m int) func(b *testing.B) {
 // accumulators, all on the move's symmetric difference.
 func SetChoiceCached(m int) func(b *testing.B) {
 	return func(b *testing.B) {
-		g := gameFor(m)
+		g := gameFor(m, false)
 		p := profileFor(g)
 		s := rng.New(2)
 		n := g.in.NumUsers()
@@ -282,6 +320,8 @@ func suite() []pair {
 	return []pair{
 		{metric: "NashGap", cached: NashGapCached, naive: NashGapNaive},
 		{metric: "Slot", slots: true, cached: SlotCached, naive: SlotNaive},
+		{metric: "NashGapDense", cached: NashGapDenseCached, naive: NashGapDenseNaive},
+		{metric: "SlotDense", slots: true, cached: SlotDenseCached, naive: SlotDenseNaive},
 		{metric: "Potential", cached: PotentialCached, naive: PotentialNaive},
 		{metric: "TotalProfit", cached: TotalProfitCached, naive: TotalProfitNaive},
 		{metric: "SetChoice", cached: SetChoiceCached},
@@ -341,6 +381,42 @@ func RunSuite(ms []int, naiveMaxM int, benchTime string) Report {
 		}
 	}
 	return rep
+}
+
+// SlotAllocCeilings caps the allocs/op of the cached slot benchmarks: the
+// values measured with GOMAXPROCS=1 once requests were built at their
+// exact size, plus about 2%. Each request-collection shard allocates its
+// own evaluator and buffers, so CheckSlotAllocs allows slotAllocsPerWorker
+// more per GOMAXPROCS above 1 (measured: 11–13 per worker up to 8). The
+// previous collection path measured 1455 (Slot M500), 14493 (Slot M5000)
+// and 2773 (SlotDense M500) at GOMAXPROCS=2.
+var SlotAllocCeilings = map[string]int64{
+	"Slot/cached/M50":        110,
+	"Slot/cached/M500":       855,
+	"Slot/cached/M5000":      8370,
+	"SlotDense/cached/M50":   105,
+	"SlotDense/cached/M500":  855,
+	"SlotDense/cached/M5000": 8420,
+}
+
+const slotAllocsPerWorker = 16
+
+// CheckSlotAllocs returns an error naming every measured cached slot
+// benchmark whose allocs/op exceed its SlotAllocCeilings entry plus the
+// allowance for the report's GOMAXPROCS. Entries the report did not
+// measure (a custom -m sweep) are not checked.
+func (r *Report) CheckSlotAllocs() error {
+	extra := slotAllocsPerWorker * int64(max(r.GoMaxProcs-1, 0))
+	var over []string
+	for _, e := range r.Entries {
+		if ceil, ok := SlotAllocCeilings[e.Name]; ok && e.AllocsPerOp > ceil+extra {
+			over = append(over, fmt.Sprintf("%s %d allocs/op > %d", e.Name, e.AllocsPerOp, ceil+extra))
+		}
+	}
+	if len(over) > 0 {
+		return fmt.Errorf("slot allocations above their ceilings at GOMAXPROCS=%d: %s", r.GoMaxProcs, strings.Join(over, "; "))
+	}
+	return nil
 }
 
 // SpeedupFor returns the recorded cached-vs-naive speedup for a metric at

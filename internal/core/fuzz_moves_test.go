@@ -12,8 +12,9 @@ import (
 // cached Profile and the Naive oracle simultaneously. Each pair of input
 // bytes is decoded into one step — a unilateral probe (ProfitDeltaIf /
 // ProfitIf) or an applied move (SetChoice) — and after the stream is
-// exhausted every maintained aggregate is compared: counts exactly,
-// Potential / TotalProfit / NashGap within Eps. The instance shape is
+// exhausted every maintained aggregate is compared: counts and the cached
+// shares exactly (on the profile and on a clone), Potential / TotalProfit
+// / NashGap within Eps. The instance shape is
 // itself derived from the fuzzed seed, so the mutator explores small
 // degenerate games as well as overlap-heavy ones.
 func FuzzProfileMoves(f *testing.F) {
@@ -54,6 +55,8 @@ func FuzzProfileMoves(f *testing.F) {
 				t.Fatalf("n_%d cached %d, oracle %d", k, p.Count(task.ID(k)), counts[k])
 			}
 		}
+		checkShareCache(t, p)
+		checkShareCache(t, p.Clone())
 		if got, want := p.Potential(), o.Potential(); math.Abs(got-want) > Eps {
 			t.Fatalf("Potential cached %v, oracle %v", got, want)
 		}

@@ -20,17 +20,25 @@ const rebaseEvery = 4096
 //
 // Beyond the counts, a Profile caches everything needed to answer the hot
 // queries of the decision-slot protocol in O(1) or O(|Δroutes|) instead of
-// O(M·N): per-task participant alpha-sums, per-user detour/congestion cost
-// terms, a memoized ln-table for w_k(q)/q shares, and compensated running
-// sums of the weighted potential Φ (Eq. 8) and the total profit Σ_i P_i
-// (Eq. 5), both updated by SetChoice on the symmetric difference of the old
-// and new routes only.
+// O(M·N): per-task participant alpha-sums, the per-task shares
+// w_k(n_k)/n_k and w_k(n_k+1)/(n_k+1) at the current counts, per-user
+// detour/congestion cost terms, a memoized ln-table for w_k(q)/q shares,
+// and compensated running sums of the weighted potential Φ (Eq. 8) and the
+// total profit Σ_i P_i (Eq. 5), all updated by SetChoice on the tasks and
+// user the move touches only.
 type Profile struct {
 	inst    *Instance
 	choices []int // choices[i] indexes Users[i].Routes
 	nk      []int // nk[k] = number of users whose chosen route covers task k
 
 	memo *shareMemo // immutable share table, shared with clones/evaluators
+
+	// shareCur[k] = w_k(n_k)/n_k and shareNext[k] = w_k(n_k+1)/(n_k+1):
+	// what user i keeps on a task it stays on or leaves, and what it gets
+	// on a task it would join. Probes read one float per task instead of
+	// evaluating the share; SetChoice refreshes the touched tasks only.
+	shareCur  []float64
+	shareNext []float64
 
 	// alphaSum[k] = Σ_{i: k ∈ L_si} α_i. With it, the reward part of
 	// Σ_i P_i collapses to Σ_k alphaSum[k]·share_k(n_k), which a move
@@ -62,6 +70,8 @@ func NewProfile(inst *Instance, choices []int) (*Profile, error) {
 		choices:     append([]int(nil), choices...),
 		nk:          make([]int, len(inst.Tasks)),
 		memo:        newShareMemo(inst),
+		shareCur:    make([]float64, len(inst.Tasks)),
+		shareNext:   make([]float64, len(inst.Tasks)),
 		alphaSum:    make([]float64, len(inst.Tasks)),
 		userCost:    make([]float64, len(inst.Users)),
 		userPotCost: make([]float64, len(inst.Users)),
@@ -75,6 +85,10 @@ func NewProfile(inst *Instance, choices []int) (*Profile, error) {
 		for _, k := range u.Routes[c].Tasks {
 			p.nk[k]++
 		}
+	}
+	for k, n := range p.nk {
+		p.shareCur[k] = p.memo.share(k, n)
+		p.shareNext[k] = p.memo.share(k, n+1)
 	}
 	p.rebase()
 	return p, nil
@@ -106,7 +120,7 @@ func (p *Profile) rebase() {
 			p.potReward.add(p.memo.share(k, q))
 		}
 		if n > 0 {
-			p.profReward.add(p.alphaSum[k] * p.memo.share(k, n))
+			p.profReward.add(p.alphaSum[k] * p.shareCur[k])
 		}
 	}
 }
@@ -145,17 +159,22 @@ func (p *Profile) SetChoice(i UserID, c int) {
 	for _, k := range u.Routes[old].Tasks {
 		n, a := p.nk[k], p.alphaSum[k]
 		// User i leaves task k: n_k drops to n-1, the alpha-sum loses α_i.
-		p.potReward.add(-p.memo.share(int(k), n))
-		p.profReward.add((a-alpha)*p.memo.share(int(k), n-1) - a*p.memo.share(int(k), n))
+		sn, sp := p.shareCur[k], p.memo.share(int(k), n-1)
+		p.potReward.add(-sn)
+		p.profReward.add((a-alpha)*sp - a*sn)
 		p.alphaSum[k] = a - alpha
 		p.nk[k] = n - 1
+		p.shareCur[k], p.shareNext[k] = sp, sn
 	}
 	for _, k := range u.Routes[c].Tasks {
 		n, a := p.nk[k]+1, p.alphaSum[k]+alpha
-		p.potReward.add(p.memo.share(int(k), n))
-		p.profReward.add(a*p.memo.share(int(k), n) - (a-alpha)*p.memo.share(int(k), n-1))
+		// User i joins task k: n_k rises to n, the alpha-sum gains α_i.
+		sn, sp := p.shareNext[k], p.shareCur[k]
+		p.potReward.add(sn)
+		p.profReward.add(a*sn - (a-alpha)*sp)
 		p.alphaSum[k] = a
 		p.nk[k] = n
+		p.shareCur[k], p.shareNext[k] = sn, p.memo.share(int(k), n+1)
 	}
 	p.choices[int(i)] = c
 
@@ -175,16 +194,18 @@ func (p *Profile) SetChoice(i UserID, c int) {
 }
 
 // Clone returns an independent copy of the profile sharing the instance and
-// the immutable share memo. All mutable cache state — counts, alpha-sums,
-// per-user cost terms, and the compensated Φ / ΣP_i accumulators — is
-// copied, so mutating the clone never perturbs the original (and vice
-// versa).
+// the immutable share memo. All mutable cache state — counts, cached
+// shares, alpha-sums, per-user cost terms, and the compensated Φ / ΣP_i
+// accumulators — is copied, so mutating the clone never perturbs the
+// original (and vice versa).
 func (p *Profile) Clone() *Profile {
 	q := &Profile{
 		inst:        p.inst,
 		choices:     append([]int(nil), p.choices...),
 		nk:          append([]int(nil), p.nk...),
 		memo:        p.memo,
+		shareCur:    append([]float64(nil), p.shareCur...),
+		shareNext:   append([]float64(nil), p.shareNext...),
 		alphaSum:    append([]float64(nil), p.alphaSum...),
 		userCost:    append([]float64(nil), p.userCost...),
 		userPotCost: append([]float64(nil), p.userPotCost...),
@@ -204,7 +225,7 @@ func (p *Profile) Profit(i UserID) float64 {
 	r := u.Routes[p.choices[int(i)]]
 	var reward float64
 	for _, k := range r.Tasks {
-		reward += p.memo.share(int(k), p.nk[k])
+		reward += p.shareCur[k]
 	}
 	return u.Alpha*reward - u.Beta*p.inst.DetourCost(r) - u.Gamma*p.inst.CongestionCost(r)
 }
@@ -215,7 +236,7 @@ func (p *Profile) RewardOf(i UserID) float64 {
 	r := p.Route(i)
 	var reward float64
 	for _, k := range r.Tasks {
-		reward += p.memo.share(int(k), p.nk[k])
+		reward += p.shareCur[k]
 	}
 	return reward
 }
@@ -260,7 +281,7 @@ func (p *Profile) BetterResponses(i UserID) []int { return p.ev.betterResponses(
 // maximum profit among all strict improvements (Definition 1, best response
 // update; Algorithm 1 line 10). It is empty when the current choice is
 // already a best response.
-func (p *Profile) BestResponseSet(i UserID) []int { return p.ev.bestResponseSet(i) }
+func (p *Profile) BestResponseSet(i UserID) []int { return p.ev.bestResponses(i, nil) }
 
 // IsNash reports whether no user has a better response (Definition 2).
 func (p *Profile) IsNash() bool {
@@ -302,7 +323,11 @@ func (p *Profile) Tau(i UserID, c int) float64 {
 // the union of tasks covered by the current and the new route. Two users
 // whose B sets are disjoint can update concurrently without interfering
 // (Algorithm 3).
-func (p *Profile) MoveTasks(i UserID, c int) []task.ID { return p.ev.moveTasks(i, c) }
+func (p *Profile) MoveTasks(i UserID, c int) []task.ID {
+	u := p.inst.Users[int(i)]
+	dst := make([]task.ID, 0, len(u.Routes[p.choices[int(i)]].Tasks)+len(u.Routes[c].Tasks))
+	return p.ev.appendMoveTasks(dst, i, c)
+}
 
 // CoveredTasks returns the number of distinct tasks covered by at least one
 // user's chosen route (the numerator of the §5.3.2 coverage metric).

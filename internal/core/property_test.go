@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -158,22 +159,40 @@ func TestQuickMoveTasksUnion(t *testing.T) {
 }
 
 // Property: scratch-mark epochs never corrupt results across many
-// interleaved ProfitIf / MoveTasks calls (regression guard for the mark
-// wraparound logic).
+// interleaved ProfitIf / ProfitDeltaIf / BestResponseSet calls (regression
+// guard for the mark wraparound logic). The current-route epoch starts
+// just below the reset at 0 and the candidate epoch just below the int32
+// overflow, so both the clear-and-restart path and the sign flip run
+// mid-sweep.
 func TestScratchMarkWraparound(t *testing.T) {
 	s := rng.New(77)
 	in := RandomInstance(DefaultRandomConfig(4, 8), s.Child())
 	p := RandomProfile(in, s.Child())
-	p.ev.mark = math.MaxInt32 - 3 // force an imminent wrap
+	o, err := NewNaive(in, p.Choices())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.ev.curMark = -3                 // force an imminent clear-and-restart
+	p.ev.candMark = math.MaxInt32 - 3 // and an imminent overflow
 	for trial := 0; trial < 10; trial++ {
+		if trial == 5 {
+			p.ev.curMark, p.ev.candMark = p.ev.candMark, -2
+		}
 		for i := range in.Users {
+			u := UserID(i)
 			for c := range in.Users[i].Routes {
 				q := p.Clone()
-				q.SetChoice(UserID(i), c)
-				want := q.Profit(UserID(i))
-				if got := p.ProfitIf(UserID(i), c); math.Abs(got-want) > 1e-9 {
+				q.SetChoice(u, c)
+				want := q.Profit(u)
+				if got := p.ProfitIf(u, c); math.Abs(got-want) > 1e-9 {
 					t.Fatalf("wraparound corrupted ProfitIf(%d,%d): %v != %v", i, c, got, want)
 				}
+				if got, want := p.ProfitDeltaIf(u, c), o.ProfitIf(u, c)-o.Profit(u); math.Abs(got-want) > Eps {
+					t.Fatalf("wraparound corrupted ProfitDeltaIf(%d,%d): %v != %v", i, c, got, want)
+				}
+			}
+			if got, want := p.BestResponseSet(u), o.BestResponseSet(u); !reflect.DeepEqual(got, want) {
+				t.Fatalf("wraparound corrupted BestResponseSet(%d): %v != %v", i, got, want)
 			}
 		}
 	}

@@ -161,10 +161,10 @@ type nodeRun struct {
 // set), accepts its owned users' agent connections on agentLn, and drives
 // the symmetric federated protocol to completion. It takes ownership of
 // both listeners and closes them on return.
-func ServeNode(agentLn, peerLn net.Listener, in *core.Instance, opts NodeOptions) (NodeStats, error) {
+func ServeNode(agentLn, peerLn net.Listener, in *core.Instance, opts NodeOptions) (stats NodeStats, err error) {
 	defer agentLn.Close()
 	defer peerLn.Close()
-	stats := NodeStats{Shard: opts.Shard, Shards: opts.Shards}
+	stats = NodeStats{Shard: opts.Shard, Shards: opts.Shards}
 	if err := in.Validate(); err != nil {
 		return stats, fmt.Errorf("distributed: %w", err)
 	}
@@ -229,10 +229,18 @@ func ServeNode(agentLn, peerLn net.Listener, in *core.Instance, opts NodeOptions
 	}
 	f.mesh = newPeerMesh(peerLn, opts.Shard, opts.PeerAddrs, opts.PeerRetry, opts.PeerTimeout, st, opts.Resume, opts.PeerObserver)
 	defer f.mesh.close()
+	// Every return below reports f.stats. The link and message counters are
+	// final only once the run has stopped, so they are read here, after
+	// every later deferred step, and stored into the named result.
 	defer func() {
 		for _, l := range f.mesh.links {
 			f.stats.Reconnects += f.mesh.status(l).Reconnects
 		}
+		if f.plat != nil {
+			f.stats.MessagesSent = f.plat.ctr.Sent()
+			f.stats.MessagesReceived = f.plat.ctr.Recv()
+		}
+		stats = f.stats
 	}()
 	if err := f.mesh.awaitConnected(); err != nil {
 		return f.stats, err
@@ -266,10 +274,6 @@ func ServeNode(agentLn, peerLn net.Listener, in *core.Instance, opts NodeOptions
 	if err != nil {
 		return f.stats, fmt.Errorf("distributed: shard %d: %w", opts.Shard, err)
 	}
-	defer func() {
-		f.stats.MessagesSent = f.plat.ctr.Sent()
-		f.stats.MessagesReceived = f.plat.ctr.Recv()
-	}()
 	if err := f.plat.runInit(); err != nil {
 		return f.stats, err
 	}
@@ -394,6 +398,9 @@ func (f *nodeRun) slotLoop(startSlot int) error {
 				return err
 			}
 			for _, r := range sr.Reqs {
+				if err := checkTau(r.Tau); err != nil {
+					return fmt.Errorf("distributed: shard %d, user %d in slot %d: %w", q, r.User, slot, err)
+				}
 				merged = append(merged, engine.Request{User: core.UserID(r.User), Route: r.Route, Tau: r.Tau, B: r.B})
 			}
 		}

@@ -24,8 +24,8 @@ func nodeTestInstance() *core.Instance {
 // runNodeFederation runs a K-node federation over real localhost TCP —
 // every shard a ServeNode goroutine with its own agent and peer listeners,
 // every agent a goroutine dialing its owning shard — and returns the
-// per-node transcripts and stats.
-func runNodeFederation(t *testing.T, in *core.Instance, K int, policy SelectionPolicy) ([]*bytes.Buffer, []NodeStats) {
+// per-node transcripts and stats, and each agent's message counter.
+func runNodeFederation(t *testing.T, in *core.Instance, K int, policy SelectionPolicy) ([]*bytes.Buffer, []NodeStats, []*Counter) {
 	t.Helper()
 	part, err := federation.Spatial(in, K)
 	if err != nil {
@@ -62,15 +62,23 @@ func runNodeFederation(t *testing.T, in *core.Instance, K int, policy SelectionP
 	}
 	var agents sync.WaitGroup
 	agentErrs := make([]error, in.NumUsers())
+	traffic := make([]*Counter, in.NumUsers())
 	for u := 0; u < in.NumUsers(); u++ {
+		traffic[u] = &Counter{}
 		agents.Add(1)
 		go func(u int) {
 			defer agents.Done()
-			agentErrs[u] = DialTCP(agentLns[part.Assign[u]].Addr().String(), AgentConfig{
+			nc, err := net.Dial("tcp", agentLns[part.Assign[u]].Addr().String())
+			if err != nil {
+				agentErrs[u] = err
+				return
+			}
+			defer nc.Close()
+			agentErrs[u] = NewAgent(WithCounter(NewNetConn(nc), traffic[u]), AgentConfig{
 				User:  u,
 				Alpha: in.Users[u].Alpha, Beta: in.Users[u].Beta, Gamma: in.Users[u].Gamma,
 				Seed: 1 + uint64(u),
-			})
+			}).Run()
 		}(u)
 	}
 	nodes.Wait()
@@ -85,7 +93,7 @@ func runNodeFederation(t *testing.T, in *core.Instance, K int, policy SelectionP
 			t.Fatalf("agent %d: %v", u, err)
 		}
 	}
-	return transcripts, stats
+	return transcripts, stats, traffic
 }
 
 // inProcessTranscript reproduces the node transcript format from an
@@ -143,7 +151,7 @@ func TestNodeFederationMatchesInProcess(t *testing.T) {
 				}
 				wantInit, wantSlots := splitTranscript(want.String())
 
-				transcripts, stats := runNodeFederation(t, in, K, policy)
+				transcripts, stats, _ := runNodeFederation(t, in, K, policy)
 				var gotInit []string
 				for k, tr := range transcripts {
 					if !stats[k].Converged {
@@ -179,7 +187,7 @@ func TestNodeFederationChoices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats := runNodeFederation(t, in, K, Deterministic)
+	_, stats, _ := runNodeFederation(t, in, K, Deterministic)
 	merged := make([]int, in.NumUsers())
 	for u := range merged {
 		merged[u] = -1
@@ -210,6 +218,37 @@ func TestNodeFederationChoices(t *testing.T) {
 	for u := range merged {
 		if merged[u] != want.Choices[u] {
 			t.Errorf("user %d: multi-node route %d, standalone route %d", u, merged[u], want.Choices[u])
+		}
+	}
+}
+
+// TestNodeStatsCountAgentTraffic checks ServeNode reports its agent-link
+// traffic: every node's message counts are non-zero and equal, message
+// for message, what its owned agents received and sent. A clean run
+// re-establishes no peer link.
+func TestNodeStatsCountAgentTraffic(t *testing.T) {
+	in := nodeTestInstance()
+	K := 2
+	part, err := federation.Spatial(in, K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stats, traffic := runNodeFederation(t, in, K, Deterministic)
+	for k, st := range stats {
+		var sent, recv int
+		for _, u := range part.Owned[k] {
+			sent += traffic[u].Sent()
+			recv += traffic[u].Recv()
+		}
+		if st.MessagesSent == 0 || st.MessagesReceived == 0 {
+			t.Errorf("node %d reports no traffic: sent %d, received %d", k, st.MessagesSent, st.MessagesReceived)
+		}
+		if st.MessagesSent != recv || st.MessagesReceived != sent {
+			t.Errorf("node %d: sent %d / received %d, its agents received %d / sent %d",
+				k, st.MessagesSent, st.MessagesReceived, recv, sent)
+		}
+		if st.Reconnects != 0 {
+			t.Errorf("node %d: %d peer reconnects in a clean run", k, st.Reconnects)
 		}
 	}
 }

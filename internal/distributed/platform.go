@@ -3,6 +3,7 @@ package distributed
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/core"
@@ -418,6 +419,9 @@ func (p *Platform) collectRequests(slot int) ([]engine.Request, error) {
 			return nil, fmt.Errorf("distributed: user %d replied for slot %d in slot %d", p.users[li], r.Slot, slot)
 		}
 		if r.HasUpdate {
+			if err := checkTau(r.Tau); err != nil {
+				return nil, fmt.Errorf("distributed: user %d in slot %d: %w", p.users[li], slot, err)
+			}
 			requests = append(requests, engine.Request{
 				User: core.UserID(p.users[li]), Route: r.Route, Tau: r.Tau, B: r.B,
 			})
@@ -427,6 +431,16 @@ func (p *Platform) collectRequests(slot int) ([]engine.Request, error) {
 	p.tel.requests.Add(uint64(len(requests)))
 	p.lastRequests = len(requests)
 	return requests, nil
+}
+
+// checkTau rejects a request whose τ_i is NaN or infinite. An honest agent
+// always reports a finite ΔP_i/α_i; PUU ranks requests by τ_i/|B_i|, and
+// a NaN has no place in that order.
+func checkTau(tau float64) error {
+	if math.IsNaN(tau) || math.IsInf(tau, 0) {
+		return fmt.Errorf("non-finite τ %v", tau)
+	}
+	return nil
 }
 
 // commitSlot grants the slot's winners (all of which must be users this

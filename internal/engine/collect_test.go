@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -108,5 +110,62 @@ func TestRequestsDoesNotMutate(t *testing.T) {
 	}
 	if p.Potential() != phi {
 		t.Error("Requests changed the cached potential")
+	}
+}
+
+// TestRequestsMatchProfileProbes checks each request collectRequests builds
+// against the profile's own probes: its route lies in Δ_i, its τ_i is
+// bit-identical to Profile.Tau, its B_i equals Profile.MoveTasks, and every
+// user with a nonempty Δ_i requests. Every route has a twin whose detour is
+// 1e-12 longer, so Δ_i usually holds two routes whose gains differ in their
+// last bits and τ_i must come from the drawn route's own gain.
+func TestRequestsMatchProfileProbes(t *testing.T) {
+	in := core.RandomInstance(core.DefaultRandomConfig(160, 90), rng.New(31))
+	for i := range in.Users {
+		u := &in.Users[i]
+		for _, r := range u.Routes {
+			r.Detour += 1e-12
+			u.Routes = append(u.Routes, r)
+		}
+	}
+	p := core.RandomProfile(in, rng.New(32))
+	for _, parallelPath := range []bool{false, true} {
+		var reqs []Request
+		forceCollectMode(parallelPath, func() { reqs = collectRequests(p, rng.New(33), true) })
+		byUser := map[core.UserID]Request{}
+		for _, r := range reqs {
+			byUser[r.User] = r
+		}
+		twins := 0
+		for i := range in.Users {
+			u := core.UserID(i)
+			set := p.BestResponseSet(u)
+			r, ok := byUser[u]
+			if ok != (len(set) > 0) {
+				t.Fatalf("user %d: requested %v with Δ_i = %v", i, ok, set)
+			}
+			if !ok {
+				continue
+			}
+			if len(set) > 1 {
+				twins++
+			}
+			if !slices.Contains(set, r.Route) {
+				t.Fatalf("user %d: route %d not in Δ_i = %v", i, r.Route, set)
+			}
+			if want := p.Tau(u, r.Route); math.Float64bits(r.Tau) != math.Float64bits(want) {
+				t.Fatalf("user %d route %d: τ %v, Profile.Tau %v", i, r.Route, r.Tau, want)
+			}
+			var want []int
+			for _, k := range p.MoveTasks(u, r.Route) {
+				want = append(want, int(k))
+			}
+			if !slices.Equal(r.B, want) || len(r.B) != cap(r.B) {
+				t.Fatalf("user %d route %d: B %v (cap %d), MoveTasks %v", i, r.Route, r.B, cap(r.B), want)
+			}
+		}
+		if twins == 0 {
+			t.Fatal("degenerate instance: no Δ_i holds two routes")
+		}
 	}
 }

@@ -7,12 +7,15 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/rng"
+	"repro/internal/task"
 	"repro/internal/telemetry"
 	"repro/internal/tracing"
 )
@@ -227,71 +230,99 @@ var collectParallelMin = 96
 // route set Δ_i is nonempty, with a proposed route chosen uniformly from
 // Δ_i (Algorithm 1 line 14).
 //
-// For instances with at least collectParallelMin users the per-user
-// best-response sets — the slot's dominant cost, embarrassingly parallel
-// and RNG-free — are evaluated across worker shards first, each shard
-// probing through its own core.Evaluator. The merge then walks users in
-// index order and draws proposals from the stream exactly as the
-// sequential path does, so the emitted requests (and all downstream run
-// trajectories) are bit-identical either way.
+// It runs in three phases. First every user's Δ_i is evaluated — the
+// slot's dominant cost, embarrassingly parallel and RNG-free — together
+// with each route's profit gain when withMeta asks for τ_i. Then the
+// proposals are drawn from the stream in user order, and τ_i is the
+// drawn route's gain over α_i, bit-identical to Profile.Tau. Last, with
+// withMeta, each request's B_i is built at its exact size. The first and
+// last phases fan out across internal/parallel shards, each probing
+// through its own core.Evaluator, once their item count reaches
+// collectParallelMin; the shards write disjoint slots, so the emitted
+// requests (and all downstream run trajectories) are bit-identical either
+// way.
 func collectRequests(p *core.Profile, s *rng.Stream, withMeta bool) []Request {
 	span := telemetry.StartSpan(collectDuration)
 	defer span.End()
-	n := p.Instance().NumUsers()
-	var deltas [][]int
+	in := p.Instance()
+	n := in.NumUsers()
 	if n >= collectParallelMin {
 		collectParallel.Inc()
-		deltas = bestResponseSets(p)
 	} else {
 		collectSequential.Inc()
 	}
-	var reqs []Request
-	for i := 0; i < n; i++ {
-		u := core.UserID(i)
-		var delta []int
-		if deltas != nil {
-			delta = deltas[i]
-		} else {
-			delta = p.BestResponseSet(u)
-		}
-		if len(delta) == 0 {
-			continue
-		}
-		route := delta[s.Intn(len(delta))]
-		req := Request{User: u, Route: route}
-		if withMeta {
-			req.Tau = p.Tau(u, route)
-			for _, k := range p.MoveTasks(u, route) {
-				req.B = append(req.B, int(k))
+	sets := make([][]int, n)
+	var gains [][]float64
+	if withMeta {
+		gains = make([][]float64, n)
+	}
+	forEachShard(p, n, func(ev *core.Evaluator, w, shards int) {
+		for i := w; i < n; i += shards {
+			if withMeta {
+				sets[i], gains[i] = ev.BestResponses(core.UserID(i))
+			} else {
+				sets[i] = ev.BestResponseSet(core.UserID(i))
 			}
 		}
+	})
+	requesters := 0
+	for _, set := range sets {
+		if len(set) > 0 {
+			requesters++
+		}
+	}
+	if requesters == 0 {
+		return nil
+	}
+	reqs := make([]Request, 0, requesters)
+	for i, set := range sets {
+		if len(set) == 0 {
+			continue
+		}
+		j := s.Intn(len(set))
+		req := Request{User: core.UserID(i), Route: set[j]}
+		if withMeta {
+			req.Tau = gains[i][j] / in.Users[i].Alpha
+		}
 		reqs = append(reqs, req)
+	}
+	if withMeta {
+		forEachShard(p, len(reqs), func(ev *core.Evaluator, w, shards int) {
+			var buf []task.ID
+			for j := w; j < len(reqs); j += shards {
+				r := &reqs[j]
+				buf = ev.AppendMoveTasks(buf[:0], r.User, r.Route)
+				r.B = make([]int, len(buf))
+				for x, k := range buf {
+					r.B[x] = int(k)
+				}
+			}
+		})
 	}
 	return reqs
 }
 
-// bestResponseSets evaluates Δ_i for every user across parallel shards.
-// Shard w owns users w, w+shards, w+2·shards, …, so each output slot is
+// forEachShard runs body over n items split across evaluator shards: shard
+// w of shards owns items w, w+shards, w+2·shards, …, so each output slot is
 // written by exactly one goroutine and the result depends only on the
-// profile state, never on scheduling. Each shard probes through a private
+// profile state, never on scheduling. Below collectParallelMin items the
+// single shard runs inline. Each shard probes through a private
 // core.Evaluator: probes are read-only on the profile and bit-identical to
-// Profile.BestResponseSet.
-func bestResponseSets(p *core.Profile) [][]int {
-	n := p.Instance().NumUsers()
-	out := make([][]int, n)
+// the profile's own methods.
+func forEachShard(p *core.Profile, n int, body func(ev *core.Evaluator, w, shards int)) {
+	if n < collectParallelMin {
+		body(p.NewEvaluator(), 0, 1)
+		return
+	}
 	shards := parallel.DefaultWorkers()
 	if max := (n + 31) / 32; shards > max {
-		shards = max // keep ≥32 users per shard
+		shards = max // keep ≥32 items per shard
 	}
 	// The shard body never errors; ForEach's error return is vacuous here.
 	_ = parallel.ForEach(shards, shards, func(w int) error {
-		ev := p.NewEvaluator()
-		for i := w; i < n; i += shards {
-			out[i] = ev.BestResponseSet(core.UserID(i))
-		}
+		body(p.NewEvaluator(), w, shards)
 		return nil
 	})
-	return out
 }
 
 // Requests returns the update requests the platform would collect from the
@@ -354,42 +385,51 @@ func (puu) SelectAndUpdate(p *core.Profile, s *rng.Stream) (int, []core.UserID) 
 // SelectPUU implements the greedy core of Algorithm 3 on a request set: sort
 // by δ_i = τ_i/|B_i| non-ascending (a move touching no tasks interferes with
 // nothing and has δ = +Inf, sorted first), then admit requests whose B sets
-// do not intersect the union of already-admitted B sets. Exported for direct
-// testing of Theorem 3's guarantee.
+// do not intersect the union of already-admitted B sets. Ties keep request
+// order. Exported for direct testing of Theorem 3's guarantee.
+//
+// Requests may come from agents, so SelectPUU accepts any B entries
+// (negative, huge, duplicated) and any τ without panicking, and allocates
+// in proportion to the request sizes, never to a task ID's value. Claimed
+// tasks live in a Go map, whose per-process hash seed keeps an agent from
+// choosing IDs that collide. The order is a stable sort under ">" on δ,
+// which for every τ except NaN is the order an insertion sort by
+// non-ascending δ produces; the platforms reject NaN and infinite τ at
+// their boundary.
 func SelectPUU(reqs []Request) []Request {
-	idx := make([]int, len(reqs))
-	for i := range idx {
-		idx[i] = i
+	type ranked struct {
+		delta float64
+		idx   int
 	}
-	delta := func(r Request) float64 {
-		if len(r.B) == 0 {
-			return math.Inf(1)
+	order := make([]ranked, len(reqs))
+	for i, r := range reqs {
+		d := math.Inf(1)
+		if len(r.B) > 0 {
+			d = r.Tau / float64(len(r.B))
 		}
-		return r.Tau / float64(len(r.B))
+		order[i] = ranked{d, i}
 	}
-	// Insertion sort by non-ascending δ (request counts are small, and ties
-	// keep user order deterministic for reproducibility).
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && delta(reqs[idx[j]]) > delta(reqs[idx[j-1]]); j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
+	slices.SortFunc(order, func(a, b ranked) int {
+		switch {
+		case a.delta > b.delta:
+			return -1
+		case b.delta > a.delta:
+			return 1
 		}
-	}
-	taken := map[int]bool{}
+		return cmp.Compare(a.idx, b.idx)
+	})
+	taken := make(map[int]struct{})
 	var out []Request
-	for _, ii := range idx {
-		r := reqs[ii]
-		conflict := false
+next:
+	for _, o := range order {
+		r := reqs[o.idx]
 		for _, k := range r.B {
-			if taken[k] {
-				conflict = true
-				break
+			if _, ok := taken[k]; ok {
+				continue next
 			}
 		}
-		if conflict {
-			continue
-		}
 		for _, k := range r.B {
-			taken[k] = true
+			taken[k] = struct{}{}
 		}
 		out = append(out, r)
 	}
