@@ -149,8 +149,8 @@ func runChaos(in *core.Instance, opts ChaosOptions) (ChaosStats, error) {
 	}
 
 	// runPlatform starts the platform side: the classic single platform, or
-	// — when Shards > 1 — the federated coordinator with fault-injected
-	// gossip links. Gossip fault schedules are seeded past the user-link
+	// — when Shards > 1 — the in-process federation with fault-injected
+	// peer links. Peer-link fault schedules are seeded past the user-link
 	// seed space so they never collide with an agent link's schedule.
 	runPlatform := func() (RunStats, error) {
 		if opts.Shards > 1 {
@@ -160,10 +160,6 @@ func runChaos(in *core.Instance, opts ChaosOptions) (ChaosStats, error) {
 				Shards:   opts.Shards,
 				Platform: opts.Platform,
 				GossipLinks: func(a, b int) (Conn, Conn, error) {
-					// Buffered links: an injected duplicate batch must never
-					// block the sender until the next round's drain (a
-					// synchronous pipe would deadlock the barrier when two
-					// peers both hold an unread duplicate).
 					ca, cb := ChanPair(64)
 					pair := n + a*opts.Shards + b
 					fa := NewFaultConn(ca, gossipProf, faultSeed(opts.Seed, pair, 0), log).WithTracer(tr, a)

@@ -1,38 +1,27 @@
 package distributed
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/distributed/federation"
-	"repro/internal/engine"
-	"repro/internal/rng"
-	"repro/internal/telemetry"
-	"repro/internal/wire"
 )
 
-// This file implements the sharded federation of Algorithm 2: users are
-// partitioned across K platform shards (internal/distributed/federation
-// decides ownership, spatially by default), each shard runs the slot
-// protocol over its own agent connections only, and the shared per-task
-// participation counts are replicated shard-to-shard by batched,
-// epoch-stamped delta gossip (wire.KindGossipDelta over the binary codec).
-//
-// The round structure is bulk-synchronous:
-//
-//  1. Every shard broadcasts SlotInfo built from its replica's round-start
-//     snapshot and collects one Request per served user, in parallel.
-//  2. The coordinator merges the requests in shard order and runs the
-//     GLOBAL selection policy — one SUU winner across all shards, the
-//     global PUU disjoint batch, or the globally lowest ID — so the
-//     selected set is exactly what a single platform would have picked.
-//  3. Each shard grants and commits its own winners, then flushes its
-//     delta batch to every peer and ingests every peer's batch before the
-//     next round opens (the gossip barrier).
+// This file runs the sharded federation of Algorithm 2 inside one
+// process: users are partitioned across K platform shards
+// (internal/distributed/federation decides ownership, spatially by
+// default), and RunFederated drives each shard with the same nodeRun slot
+// loop a multi-node ServeNode process runs (node.go), one goroutine per
+// shard, over in-memory peer links that carry the binary codec. Each
+// shard serves only its own agent connections; the shards agree on every
+// round's global winner set by broadcasting their requests and selecting
+// over the identical merged sequence, and replicate the shared per-task
+// participation counts by batched, epoch-stamped delta gossip
+// (wire.KindGossipDelta).
 //
 // Because every replica has ingested all peer batches when a round opens,
 // counts are globally exact at round start and stale only within a round —
@@ -68,21 +57,19 @@ type FederatedOptions struct {
 	// (the federated code path with no peers, useful as a baseline).
 	Shards int
 	// Platform carries the per-shard platform configuration. Observer and
-	// ObservePotential are interpreted globally: the coordinator invokes
-	// the observer once per round with the merged cross-shard observation,
-	// not once per shard.
+	// ObservePotential are interpreted globally: the observer is invoked
+	// once after init and once per round, once every shard has crossed the
+	// round's gossip barrier, with the merged cross-shard observation.
 	Platform PlatformConfig
 	// Partition overrides user placement; the zero value partitions
 	// spatially (federation.Spatial).
 	Partition federation.Partition
-	// GossipLinks supplies the transport for one shard pair: it returns
-	// a's end and b's end of the a<->b link. nil defaults to the binary
-	// wire codec over an in-process pipe, so gossip frames round-trip
-	// through the real encoder even in single-process runs. Links whose
-	// decorators can inject duplicate deliveries must be buffered (e.g.
-	// ChanPair): over a synchronous pipe an unread duplicate batch blocks
-	// its sender until the next round's drain, which can deadlock the
-	// barrier when two peers both hold one.
+	// GossipLinks supplies the peer link for one shard pair: it returns
+	// a's end and b's end of the a<->b link, which carries both the
+	// shards' request broadcasts and their gossip. nil defaults to the
+	// binary wire codec over an in-process pipe, so peer frames round-trip
+	// through the real encoder even in single-process runs. A link that
+	// fails is not re-established: the run fails.
 	GossipLinks func(a, b int) (Conn, Conn, error)
 	// ShardObserver, when non-nil, receives one ShardObservation per shard
 	// per round (called from shard goroutines; must be safe for concurrent
@@ -112,234 +99,125 @@ type FederatedStats struct {
 	SlotSeconds float64
 }
 
-// fedRun carries the coordinator state across round phases.
-type fedRun struct {
-	in      *core.Instance
-	opts    FederatedOptions
-	part    federation.Partition
-	plats   []*Platform
-	links   [][]Conn // links[k][p] is shard k's conn to shard p (nil diagonal)
-	choices []int
-	timers  []telemetry.Span
-
-	gossipBatches atomic.Int64
-	gossipCounts  atomic.Int64
-	maxLag        atomic.Int64
-}
-
 // RunFederated executes the protocol over a K-shard federation. conns[u]
 // must be connected to the agent for (global) user u; each conn is handed
 // to exactly one shard. It blocks until the protocol terminates and
 // returns the merged statistics.
 func RunFederated(in *core.Instance, conns []Conn, opts FederatedOptions) (stats FederatedStats, err error) {
-	if err := in.Validate(); err != nil {
-		return stats, fmt.Errorf("distributed: %w", err)
-	}
 	if len(conns) != in.NumUsers() {
 		return stats, fmt.Errorf("distributed: %d connections for %d users", len(conns), in.NumUsers())
 	}
-	K := opts.Shards
-	if K <= 0 {
-		K = 1
-	}
-	part := opts.Partition
-	if part.Shards == 0 {
-		var err error
-		if part, err = federation.Spatial(in, K); err != nil {
+	K := max(opts.Shards, 1)
+	nopts := NodeOptions{Shards: K, Platform: opts.Platform, Partition: opts.Partition, ShardObserver: opts.ShardObserver}
+	choices := make([]int, in.NumUsers())
+	nodes := make([]*nodeRun, K)
+	for k := range nodes {
+		nopts.Shard = k
+		if nodes[k], err = newNodeRun(in, nopts); err != nil {
 			return stats, err
 		}
-	} else if part.Shards != K {
-		return stats, fmt.Errorf("distributed: partition has %d shards, options ask for %d", part.Shards, K)
-	}
-	if err := part.Validate(in); err != nil {
-		return stats, err
+		nopts.Partition = nodes[k].part
+		nodes[k].choices = choices
 	}
 	if opts.OnTopology != nil {
-		opts.OnTopology(part)
-	}
-
-	f := &fedRun{
-		in:      in,
-		opts:    opts,
-		part:    part,
-		plats:   make([]*Platform, K),
-		links:   make([][]Conn, K),
-		choices: make([]int, in.NumUsers()),
-		timers:  make([]telemetry.Span, K),
-	}
-	// The coordinator owns global observation; shards run headless.
-	shardCfg := opts.Platform
-	shardCfg.Observer = nil
-	shardCfg.ObservePotential = false
-	for k := 0; k < K; k++ {
-		owned := part.Owned[k]
-		sub := make([]Conn, len(owned))
-		for li, u := range owned {
-			sub[li] = conns[u]
-		}
-		st, err := federation.NewStore(in.NumTasks(), k, K)
-		if err != nil {
-			return stats, err
-		}
-		p, err := New(in, sub, WithConfig(shardCfg), WithShard(k, K), WithUsers(owned), withStore(st))
-		if err != nil {
-			return stats, fmt.Errorf("distributed: shard %d: %w", k, err)
-		}
-		f.plats[k] = p
+		opts.OnTopology(nopts.Partition)
 	}
 	mkLink := opts.GossipLinks
 	if mkLink == nil {
 		mkLink = pipeGossipLink
 	}
-	for k := range f.links {
-		f.links[k] = make([]Conn, K)
+	links := make([]map[int]Conn, K) // links[k][p] is shard k's end of the k<->p link
+	for k := range links {
+		links[k] = make(map[int]Conn, K-1)
 	}
 	for a := 0; a < K; a++ {
 		for b := a + 1; b < K; b++ {
-			ca, cb, err := mkLink(a, b)
-			if err != nil {
+			if links[a][b], links[b][a], err = mkLink(a, b); err != nil {
+				for _, ls := range links {
+					for _, c := range ls {
+						if c != nil {
+							c.Close()
+						}
+					}
+				}
 				return stats, fmt.Errorf("distributed: gossip link %d<->%d: %w", a, b, err)
 			}
-			f.links[a][b], f.links[b][a] = ca, cb
 		}
 	}
-	defer func() {
-		for a := range f.links {
-			for _, c := range f.links[a] {
-				if c != nil {
-					c.Close()
-				}
-			}
+	for k, f := range nodes {
+		f.mesh = newLocalMesh(k, links[k], f.st)
+	}
+
+	// One goroutine per shard. The first failure is the one reported; a
+	// failing shard closes its mesh at once so its peers fail fast on the
+	// dead links instead of waiting for it. Every other mesh closes only
+	// once all shards are done, so no shard's last sends race a teardown.
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		first error
+	)
+	for k, f := range nodes {
+		owned := f.part.Owned[k]
+		sub := make([]Conn, len(owned))
+		for li, u := range owned {
+			sub[li] = conns[u]
 		}
-	}()
+		wg.Add(1)
+		go func(k int, f *nodeRun) {
+			defer wg.Done()
+			err := f.run(sub, 1)
+			if err == nil {
+				return
+			}
+			mu.Lock()
+			if first == nil {
+				first = fmt.Errorf("shard %d: %w", k, err)
+			}
+			mu.Unlock()
+			if !errors.Is(err, ErrNoConvergence) {
+				f.mesh.close()
+			}
+		}(k, f)
+	}
+	wg.Wait()
+	if !nodes[0].loopStart.IsZero() {
+		stats.SlotSeconds = time.Since(nodes[0].loopStart).Seconds()
+	}
+	for _, f := range nodes {
+		f.mesh.close()
+	}
 
 	stats.Shards = K
 	stats.PerShard = make([]RunStats, K)
-	defer func() {
-		for k, p := range f.plats {
-			stats.PerShard[k].MessagesSent = p.ctr.Sent()
-			stats.PerShard[k].MessagesReceived = p.ctr.Recv()
-			stats.MessagesSent += stats.PerShard[k].MessagesSent
-			stats.MessagesReceived += stats.PerShard[k].MessagesReceived
-		}
-		stats.GossipBatches = int(f.gossipBatches.Load())
-		stats.GossipCounts = int(f.gossipCounts.Load())
-		stats.MaxPeerLag = int(f.maxLag.Load())
-	}()
-
-	// Init: every shard handshakes its users in parallel, then the initial
-	// count deltas cross the mesh (gossip epoch 1) so round 1 opens on
-	// globally exact counts.
-	runStart := time.Now()
-	if err := f.parallel(func(k int) error {
-		if err := f.plats[k].runInit(); err != nil {
-			return err
-		}
-		return f.gossip(k, 1)
-	}); err != nil {
-		return stats, err
+	for k, f := range nodes {
+		sh := f.stats.RunStats
+		sh.Choices = nil
+		stats.PerShard[k] = sh
+		stats.Slots = max(stats.Slots, sh.Slots)
+		stats.TotalUpdates += sh.TotalUpdates
+		stats.MessagesSent += sh.MessagesSent
+		stats.MessagesReceived += sh.MessagesReceived
+		stats.RequestsPerSlot = addPerSlot(stats.RequestsPerSlot, sh.RequestsPerSlot)
+		stats.SelectedPerSlot = addPerSlot(stats.SelectedPerSlot, sh.SelectedPerSlot)
+		stats.GossipBatches += f.stats.GossipBatches
+		stats.GossipCounts += f.gossipCounts
+		stats.MaxPeerLag = max(stats.MaxPeerLag, f.maxLag)
 	}
-	for k, p := range f.plats {
-		for _, u := range f.part.Owned[k] {
-			f.choices[u] = p.choices[u]
-		}
-	}
-	f.observe(0, 0, nil, time.Since(runStart))
+	stats.Converged = first == nil
+	stats.Choices = choices
+	return stats, first
+}
 
-	policy := f.plats[0].cfg.Policy
-	maxSlots := f.plats[0].cfg.MaxSlots
-	rnd := rng.New(opts.Platform.Seed)
-	loopStart := time.Now()
-	defer func() { stats.SlotSeconds = time.Since(loopStart).Seconds() }()
-
-	perShardReq := make([][]engine.Request, K)
-	perShardWin := make([][]engine.Request, K)
-	for slot := 1; slot <= maxSlots; slot++ {
-		slotStart := time.Now()
-		// Phase 1: collect requests shard-locally, in parallel.
-		if err := f.parallel(func(k int) error {
-			f.timers[k] = telemetry.StartSpan(f.plats[k].tel.slotDuration)
-			reqs, err := f.plats[k].collectRequests(slot)
-			perShardReq[k] = reqs
-			return err
-		}); err != nil {
-			return stats, err
+// addPerSlot adds the per-slot series b into a, extending a as needed.
+func addPerSlot(a, b []int) []int {
+	for i, v := range b {
+		if i == len(a) {
+			a = append(a, 0)
 		}
-		// Phase 2: global selection over the merged request set. Shard
-		// order then connection order keeps the merge deterministic.
-		var merged []engine.Request
-		for k := 0; k < K; k++ {
-			merged = append(merged, perShardReq[k]...)
-		}
-		if len(merged) == 0 {
-			// No user anywhere can improve against exact round-start
-			// counts: global equilibrium, terminate every shard.
-			if err := f.parallel(func(k int) error {
-				defer f.timers[k].End()
-				return f.plats[k].terminate(slot)
-			}); err != nil {
-				return stats, err
-			}
-			stats.Converged = true
-			stats.Choices = append([]int(nil), f.choices...)
-			for k := range stats.PerShard {
-				stats.PerShard[k].Converged = true
-			}
-			return stats, nil
-		}
-		winners := selectWinners(policy, rnd, merged)
-		for k := range perShardWin {
-			perShardWin[k] = perShardWin[k][:0]
-		}
-		for _, w := range winners {
-			k := f.part.Assign[w.User]
-			perShardWin[k] = append(perShardWin[k], w)
-		}
-		stats.Slots = slot
-		stats.RequestsPerSlot = append(stats.RequestsPerSlot, len(merged))
-		stats.SelectedPerSlot = append(stats.SelectedPerSlot, len(winners))
-		stats.TotalUpdates += len(winners)
-		// Phase 3: commit shard-locally and cross the gossip barrier.
-		applied := make([][]appliedMove, K)
-		if err := f.parallel(func(k int) error {
-			moves, _, err := f.plats[k].commitSlot(slot, perShardWin[k])
-			applied[k] = moves
-			if err != nil {
-				return err
-			}
-			if err := f.gossip(k, slot+1); err != nil {
-				return err
-			}
-			f.timers[k].End()
-			sh := &stats.PerShard[k]
-			sh.Slots = slot
-			sh.RequestsPerSlot = append(sh.RequestsPerSlot, len(perShardReq[k]))
-			sh.SelectedPerSlot = append(sh.SelectedPerSlot, len(perShardWin[k]))
-			sh.TotalUpdates += len(perShardWin[k])
-			if f.opts.ShardObserver != nil {
-				st := f.plats[k].Store()
-				f.opts.ShardObserver(ShardObservation{
-					Shard:    k,
-					Slot:     slot,
-					Requests: len(perShardReq[k]),
-					Granted:  len(perShardWin[k]),
-					Epoch:    st.Epoch(),
-					PeerLag:  st.PeerLag(),
-				})
-			}
-			return nil
-		}); err != nil {
-			return stats, err
-		}
-		for _, moves := range applied {
-			for _, mv := range moves {
-				f.choices[mv.User] = mv.Route
-			}
-		}
-		f.observe(slot, len(merged), winners, time.Since(slotStart))
+		a[i] += v
 	}
-	stats.Choices = append([]int(nil), f.choices...)
-	return stats, fmt.Errorf("distributed: %w (%d slots, %d shards)", ErrNoConvergence, maxSlots, K)
+	return a
 }
 
 // RunFederatedInProcess runs a K-shard federation inside one process: K
@@ -347,179 +225,12 @@ func RunFederated(in *core.Instance, conns []Conn, opts FederatedOptions) (stats
 // transports, with gossip over the binary codec. The platform
 // configuration comes from fopts.Platform; aopts contributes only the
 // agent-side knobs (AgentSeedBase, Deterministic, DupProb).
-func RunFederatedInProcess(in *core.Instance, fopts FederatedOptions, aopts InProcessOptions) (FederatedStats, error) {
-	n := in.NumUsers()
-	platConns := make([]Conn, n)
-	agentConns := make([]Conn, n)
-	for i := 0; i < n; i++ {
-		pc, ac := ChanPair(16)
-		if aopts.DupProb > 0 {
-			pc = NewFaultConn(pc, FaultProfile{DupProb: aopts.DupProb}, faultSeed(aopts.AgentSeedBase, i, 0), nil)
-			ac = NewFaultConn(ac, FaultProfile{DupProb: aopts.DupProb}, faultSeed(aopts.AgentSeedBase, i, 1), nil)
-		}
-		platConns[i], agentConns[i] = pc, ac
-	}
-	u := in.Users
-	var wg sync.WaitGroup
-	agentErrs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			a := NewAgent(agentConns[i], AgentConfig{
-				User:          i,
-				Alpha:         u[i].Alpha,
-				Beta:          u[i].Beta,
-				Gamma:         u[i].Gamma,
-				Seed:          aopts.AgentSeedBase + uint64(i),
-				Deterministic: aopts.Deterministic,
-			})
-			agentErrs[i] = a.Run()
-		}(i)
-	}
-	stats, perr := RunFederated(in, platConns, fopts)
-	if perr != nil {
-		// Unblock agents still waiting on a platform that errored out.
-		for _, c := range platConns {
-			c.Close()
-		}
-	}
-	wg.Wait()
-	for i, e := range agentErrs {
-		if e != nil && perr == nil {
-			perr = fmt.Errorf("agent %d: %w", i, e)
-		}
-	}
-	return stats, perr
-}
-
-// parallel runs fn for every shard concurrently and joins the errors. A
-// failing shard closes its gossip links so peers blocked at the barrier
-// fail fast instead of hanging.
-func (f *fedRun) parallel(fn func(k int) error) error {
-	errs := make([]error, len(f.plats))
-	var wg sync.WaitGroup
-	for k := range f.plats {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			if errs[k] = fn(k); errs[k] != nil {
-				for _, c := range f.links[k] {
-					if c != nil {
-						c.Close()
-					}
-				}
-			}
-		}(k)
-	}
-	wg.Wait()
-	for k, err := range errs {
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", k, err)
-		}
-	}
-	return nil
-}
-
-// gossip crosses one round barrier for shard k: flush the local delta
-// batch (expected to carry the given epoch), fan it out to every peer, and
-// ingest every peer's batch for the same epoch. Sends run concurrently
-// with the ingest loop so synchronous pipe transports cannot deadlock on
-// the all-pairs exchange. Duplicate deliveries (chaos links) are absorbed
-// by the store's idempotent ingest; the loop keeps reading a peer's link
-// until that peer's batch for this epoch has landed.
-func (f *fedRun) gossip(k, epoch int) error {
-	st := f.plats[k].Store()
-	d := st.Flush()
-	if d.Epoch != epoch {
-		return fmt.Errorf("gossip out of step: flushed epoch %d in round barrier %d", d.Epoch, epoch)
-	}
-	f.gossipCounts.Add(int64(len(d.Counts)))
-	m := &wire.Message{Kind: wire.KindGossipDelta, Epoch: uint32(epoch), From: -1, GossipDelta: d}
-	var sends sync.WaitGroup
-	sendErrs := make([]error, len(f.links[k]))
-	for p, c := range f.links[k] {
-		if c == nil {
-			continue
-		}
-		sends.Add(1)
-		go func(p int, c Conn) {
-			defer sends.Done()
-			sendErrs[p] = c.Send(m)
-		}(p, c)
-	}
-	for p, c := range f.links[k] {
-		if c == nil {
-			continue
-		}
-		for {
-			in, err := c.Recv()
-			if err != nil {
-				return fmt.Errorf("gossip from shard %d: %w", p, err)
-			}
-			if in.Kind != wire.KindGossipDelta {
-				return fmt.Errorf("gossip link to shard %d carried %v", p, in.Kind)
-			}
-			if in.GossipDelta.Shard != p {
-				return fmt.Errorf("gossip link to shard %d carried shard %d's batch", p, in.GossipDelta.Shard)
-			}
-			if err := st.Ingest(in.GossipDelta); err != nil {
-				return err
-			}
-			f.gossipBatches.Add(1)
-			if in.GossipDelta.Epoch >= epoch {
-				break
-			}
-			// Stale duplicate: idempotently dropped, keep draining.
-		}
-	}
-	sends.Wait()
-	for p, err := range sendErrs {
-		if err != nil {
-			return fmt.Errorf("gossip to shard %d: %w", p, err)
-		}
-	}
-	if lag := st.PeerLag(); len(lag) > 0 {
-		maxLag := 0
-		for _, l := range lag {
-			if l > maxLag {
-				maxLag = l
-			}
-		}
-		for {
-			cur := f.maxLag.Load()
-			if int64(maxLag) <= cur || f.maxLag.CompareAndSwap(cur, int64(maxLag)) {
-				break
-			}
-		}
-	}
-	return nil
-}
-
-// observe reports one merged round to the global observer.
-func (f *fedRun) observe(slot, requests int, winners []engine.Request, elapsed time.Duration) {
-	if f.opts.Platform.Observer == nil {
-		return
-	}
-	o := Observation{
-		Slot:     slot,
-		Requests: requests,
-		Granted:  len(winners),
-		Choices:  append([]int(nil), f.choices...),
-		Elapsed:  elapsed,
-	}
-	if len(winners) > 0 {
-		o.GrantedUsers = make([]int, len(winners))
-		for i, w := range winners {
-			o.GrantedUsers[i] = int(w.User)
-		}
-	}
-	if f.opts.Platform.ObservePotential {
-		if prof, err := core.NewProfile(f.in, f.choices); err == nil {
-			o.Potential, o.PotentialValid = prof.Potential(), true
-		}
-	}
-	f.opts.Platform.Observer(o)
+func RunFederatedInProcess(in *core.Instance, fopts FederatedOptions, aopts InProcessOptions) (stats FederatedStats, err error) {
+	err = runAgentFleet(in, aopts, func(conns []Conn) error {
+		stats, err = RunFederated(in, conns, fopts)
+		return err
+	})
+	return stats, err
 }
 
 // pipeGossipLink is the default gossip transport: the binary wire codec
@@ -533,32 +244,12 @@ func pipeGossipLink(a, b int) (Conn, Conn, error) {
 // ServeTCPFederated runs a K-shard federation over TCP: it accepts
 // in.NumUsers() agent connections on the listener, identifies each by its
 // Hello, partitions them across shards per opts, and runs the federated
-// protocol to completion. Gossip stays in-process (the shards share the
-// coordinator) unless opts.GossipLinks overrides the transport.
+// protocol to completion. The shards' peer links stay in-process unless
+// opts.GossipLinks overrides the transport.
 func ServeTCPFederated(ln net.Listener, in *core.Instance, opts FederatedOptions) (FederatedStats, error) {
-	n := in.NumUsers()
-	conns := make([]Conn, n)
-	for accepted := 0; accepted < n; accepted++ {
-		nc, err := ln.Accept()
-		if err != nil {
-			return FederatedStats{}, fmt.Errorf("distributed: accept: %w", err)
-		}
-		conn := NewNetConn(nc)
-		m, err := conn.Recv()
-		if err != nil {
-			return FederatedStats{}, fmt.Errorf("distributed: reading hello: %w", err)
-		}
-		if m.Kind != wire.KindHello {
-			return FederatedStats{}, fmt.Errorf("distributed: first message was %v, want hello", m.Kind)
-		}
-		u := m.Hello.User
-		if u < 0 || u >= n {
-			return FederatedStats{}, fmt.Errorf("distributed: hello from unknown user %d", u)
-		}
-		if conns[u] != nil {
-			return FederatedStats{}, fmt.Errorf("distributed: duplicate connection for user %d", u)
-		}
-		conns[u] = &pushbackConn{Conn: conn, pending: []*wire.Message{m}}
+	conns, err := acceptAgents(ln, allUsers(in.NumUsers()))
+	if err != nil {
+		return FederatedStats{}, err
 	}
 	defer func() {
 		for _, c := range conns {

@@ -2,11 +2,17 @@ package distributed
 
 import (
 	"errors"
+	"fmt"
 	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/distributed/federation"
+	"repro/internal/wire"
 )
 
 // TestFederatedConvergesToNash runs the federation at several shard counts
@@ -292,5 +298,159 @@ func TestFederatedNoConvergenceSentinel(t *testing.T) {
 	}
 	if !errors.Is(err, ErrNoConvergence) {
 		t.Fatalf("error %v does not wrap ErrNoConvergence", err)
+	}
+}
+
+// runFederatedAgents runs RunFederated against one agent goroutine per
+// user, with wrap decorating each agent's end of its link. Agents blocked
+// on a platform that errored out are released by closing the platform
+// ends.
+func runFederatedAgents(in *core.Instance, fopts FederatedOptions, wrap func(u int, c Conn) Conn) (FederatedStats, error) {
+	n := in.NumUsers()
+	platConns := make([]Conn, n)
+	var wg sync.WaitGroup
+	for u := 0; u < n; u++ {
+		pc, ac := ChanPair(16)
+		platConns[u] = pc
+		wg.Add(1)
+		go func(u int) {
+			defer wg.Done()
+			NewAgent(wrap(u, ac), AgentConfig{
+				User: u, Alpha: in.Users[u].Alpha, Beta: in.Users[u].Beta, Gamma: in.Users[u].Gamma,
+				Seed: 1 + uint64(u),
+			}).Run()
+		}(u)
+	}
+	stats, err := RunFederated(in, platConns, fopts)
+	if err != nil {
+		for _, c := range platConns {
+			c.Close()
+		}
+	}
+	wg.Wait()
+	return stats, err
+}
+
+// sendHook is an agent-side Conn that lets a test rewrite outgoing
+// messages.
+type sendHook struct {
+	Conn
+	rewrite func(m *wire.Message) *wire.Message
+}
+
+func (c *sendHook) Send(m *wire.Message) error { return c.Conn.Send(c.rewrite(m)) }
+
+// TestFederatedObserverReportsAppliedDecisions declines one granted update
+// on the wire — the agent's first post-init Decision is rewritten to the
+// route the platform has on record, as a restarted agent does — and checks
+// the global observer reports the applied profile, not the requested one.
+func TestFederatedObserverReportsAppliedDecisions(t *testing.T) {
+	in := nodeTestInstance()
+	var mu sync.Mutex
+	declinedUser, declinedSlot, keptRoute := -1, -1, -1
+	current := make([]int, in.NumUsers())
+	wrap := func(u int, c Conn) Conn {
+		return &sendHook{Conn: c, rewrite: func(m *wire.Message) *wire.Message {
+			if m.Kind != wire.KindDecision {
+				return m
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if m.Decision.Slot >= 1 && declinedUser < 0 {
+				declinedUser, declinedSlot, keptRoute = u, m.Decision.Slot, current[u]
+				cp := *m
+				cp.Decision = &wire.Decision{Slot: m.Decision.Slot, Route: current[u]}
+				return &cp
+			}
+			current[u] = m.Decision.Route
+			return m
+		}}
+	}
+	var obs []Observation
+	stats, err := runFederatedAgents(in, FederatedOptions{
+		Shards: 2,
+		Platform: PlatformConfig{
+			Policy: Deterministic, Seed: 1, ObservePotential: true,
+			Observer: func(o Observation) { obs = append(obs, o) },
+		},
+	}, wrap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if declinedUser < 0 {
+		t.Fatal("no grant was declined")
+	}
+	var round *Observation
+	for i := range obs {
+		if obs[i].Slot == declinedSlot {
+			round = &obs[i]
+		}
+	}
+	if round == nil {
+		t.Fatalf("no observation for slot %d", declinedSlot)
+	}
+	if len(round.GrantedUsers) != 1 || round.GrantedUsers[0] != declinedUser {
+		t.Fatalf("slot %d granted %v, want [%d]", declinedSlot, round.GrantedUsers, declinedUser)
+	}
+	if got := round.Choices[declinedUser]; got != keptRoute {
+		t.Errorf("slot %d observed user %d on route %d, but the grant was declined (route %d)", declinedSlot, declinedUser, got, keptRoute)
+	}
+	last := obs[len(obs)-1]
+	for u := range stats.Choices {
+		if last.Choices[u] != stats.Choices[u] {
+			t.Fatalf("last observation has user %d on route %d, stats.Choices has %d", u, last.Choices[u], stats.Choices[u])
+		}
+	}
+	if want := profileOf(t, in, stats.Choices).Potential(); !last.PotentialValid || last.Potential != want {
+		t.Errorf("last observation Φ = %v (valid %v), profile of stats.Choices has Φ = %v", last.Potential, last.PotentialValid, want)
+	}
+}
+
+// TestFederatedShardFailureFailsFast makes one shard's agent break the
+// protocol mid-run (a Decision where a Request is due) and checks the
+// federation returns that shard's error promptly — its peers must not
+// wait out a peer timeout — and leaves no goroutine behind.
+func TestFederatedShardFailureFailsFast(t *testing.T) {
+	in := nodeTestInstance()
+	for _, K := range []int{2, 4} {
+		part, err := federation.Spatial(in, K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := part.Owned[K-1][0]
+		wrap := func(u int, c Conn) Conn {
+			if u != bad {
+				return c
+			}
+			return &sendHook{Conn: c, rewrite: func(m *wire.Message) *wire.Message {
+				if m.Kind == wire.KindRequest && m.Request.Slot == 2 {
+					return &wire.Message{Kind: wire.KindDecision, Decision: &wire.Decision{Slot: 2}}
+				}
+				return m
+			}}
+		}
+		before := runtime.NumGoroutine()
+		start := time.Now()
+		_, err = runFederatedAgents(in, FederatedOptions{
+			Shards:   K,
+			Platform: PlatformConfig{Policy: PUU, Seed: 1},
+		}, wrap)
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Errorf("K=%d: failing shard took %v to stop the federation", K, elapsed)
+		}
+		if err == nil {
+			t.Fatalf("K=%d: protocol violation by user %d went unnoticed", K, bad)
+		}
+		if want := fmt.Sprintf("shard %d: distributed: user %d sent decision, want request", K-1, bad); !strings.Contains(err.Error(), want) {
+			t.Errorf("K=%d: error %q does not report the violation (%q)", K, err, want)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			buf := make([]byte, 1<<16)
+			t.Errorf("K=%d: %d goroutines after the run, %d before:\n%s", K, n, before, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }

@@ -11,15 +11,17 @@ import (
 	"repro/internal/distributed/federation"
 	"repro/internal/engine"
 	"repro/internal/rng"
+	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
-// This file promotes the sharded federation from in-process goroutines
-// (RunFederated) to genuinely separate processes: ServeNode runs ONE shard
-// of a K-shard federation, connected to its peers over TCP through the
-// peer mesh of peerlink.go. There is no coordinator. The round structure
-// stays bulk-synchronous and the selection stays globally exact through a
-// symmetric-broadcast argument:
+// This file is the federation's slot loop (nodeRun). ServeNode runs ONE
+// shard of a K-shard federation as its own process, connected to its
+// peers over TCP through the peer mesh of peerlink.go; RunFederated
+// (federated.go) runs all K shards in one process over in-memory links.
+// There is no coordinator. The round structure stays bulk-synchronous and
+// the selection stays globally exact through a symmetric-broadcast
+// argument:
 //
 //  1. Every shard collects its own users' improvement requests, then
 //     broadcasts them to every peer as one wire.ShardRequests batch (users
@@ -139,7 +141,8 @@ func (t *transcriptWriter) printf(format string, args ...any) {
 	_, t.err = fmt.Fprintf(t.w, format, args...)
 }
 
-// nodeRun carries the per-run state of one ServeNode call.
+// nodeRun carries the per-run state of one federation shard: a ServeNode
+// process, or one of RunFederated's in-process shards.
 type nodeRun struct {
 	in     *core.Instance
 	opts   NodeOptions
@@ -154,6 +157,80 @@ type nodeRun struct {
 	// node is collecting (the peer is at most one round ahead).
 	reqStash map[int]map[int]*wire.ShardRequests
 	stats    NodeStats
+	// choices, set by RunFederated only, is the global choice profile all
+	// its shards' platforms share: each writes only its own users, and
+	// shard 0's platform reports it to the observer after every barrier.
+	// The peer messages order those accesses: a shard applies a round's
+	// decisions before it flushes that round's gossip, which shard 0
+	// ingests before it reads, and no shard commits the next round before
+	// it holds shard 0's next request batch, sent after the read.
+	choices []int
+	// gossipCounts sums the per-task entries of this shard's flushed
+	// batches; maxLag is the largest peer lag seen past a barrier;
+	// loopStart is when the slot loop began.
+	gossipCounts, maxLag int
+	loopStart            time.Time
+}
+
+// newNodeRun validates opts and builds shard opts.Shard's run state: the
+// resolved partition and its replicated count store. Defaults land in the
+// returned run's opts.
+func newNodeRun(in *core.Instance, opts NodeOptions) (*nodeRun, error) {
+	if err := in.Validate(); err != nil {
+		return nil, fmt.Errorf("distributed: %w", err)
+	}
+	K := opts.Shards
+	if K < 1 {
+		return nil, fmt.Errorf("distributed: node needs Shards >= 1, have %d", K)
+	}
+	if opts.Shard < 0 || opts.Shard >= K {
+		return nil, fmt.Errorf("distributed: shard index %d out of range [0,%d)", opts.Shard, K)
+	}
+	policy := opts.Platform.Policy
+	if policy == "" {
+		policy = SUU
+	}
+	if opts.Resume {
+		if K == 1 {
+			return nil, fmt.Errorf("distributed: -resume needs a peer to recover from (K=1)")
+		}
+		if policy == SUU {
+			return nil, fmt.Errorf("distributed: -resume is incompatible with SUU (the selection RNG's draw history is lost; use PUU or DET)")
+		}
+	}
+	part := opts.Partition
+	if part.Shards == 0 {
+		var err error
+		if part, err = federation.Spatial(in, K); err != nil {
+			return nil, err
+		}
+	} else if part.Shards != K {
+		return nil, fmt.Errorf("distributed: partition has %d shards, options ask for %d", part.Shards, K)
+	}
+	if err := part.Validate(in); err != nil {
+		return nil, err
+	}
+	st, err := federation.NewStore(in.NumTasks(), opts.Shard, K)
+	if err != nil {
+		return nil, err
+	}
+	if opts.PeerRetry <= 0 {
+		opts.PeerRetry = 100 * time.Millisecond
+	}
+	if opts.PeerTimeout <= 0 {
+		opts.PeerTimeout = 2 * time.Minute
+	}
+	return &nodeRun{
+		in:       in,
+		opts:     opts,
+		part:     part,
+		st:       st,
+		policy:   policy,
+		rnd:      rng.New(opts.Platform.Seed),
+		tw:       transcriptWriter{w: opts.Transcript},
+		reqStash: make(map[int]map[int]*wire.ShardRequests),
+		stats:    NodeStats{Shard: opts.Shard, Shards: K},
+	}, nil
 }
 
 // ServeNode runs shard opts.Shard of a K-node federation: it establishes
@@ -165,80 +242,25 @@ func ServeNode(agentLn, peerLn net.Listener, in *core.Instance, opts NodeOptions
 	defer agentLn.Close()
 	defer peerLn.Close()
 	stats = NodeStats{Shard: opts.Shard, Shards: opts.Shards}
-	if err := in.Validate(); err != nil {
-		return stats, fmt.Errorf("distributed: %w", err)
+	if len(opts.PeerAddrs) != opts.Shards {
+		return stats, fmt.Errorf("distributed: %d peer addresses for %d shards", len(opts.PeerAddrs), opts.Shards)
 	}
-	K := opts.Shards
-	if K < 1 {
-		return stats, fmt.Errorf("distributed: node needs Shards >= 1, have %d", K)
-	}
-	if opts.Shard < 0 || opts.Shard >= K {
-		return stats, fmt.Errorf("distributed: shard index %d out of range [0,%d)", opts.Shard, K)
-	}
-	if len(opts.PeerAddrs) != K {
-		return stats, fmt.Errorf("distributed: %d peer addresses for %d shards", len(opts.PeerAddrs), K)
-	}
-	policy := opts.Platform.Policy
-	if policy == "" {
-		policy = SUU
-	}
-	if opts.Resume {
-		if K == 1 {
-			return stats, fmt.Errorf("distributed: -resume needs a peer to recover from (K=1)")
-		}
-		if policy == SUU {
-			return stats, fmt.Errorf("distributed: -resume is incompatible with SUU (the selection RNG's draw history is lost; use PUU or DET)")
-		}
-	}
-	part := opts.Partition
-	if part.Shards == 0 {
-		var err error
-		if part, err = federation.Spatial(in, K); err != nil {
-			return stats, err
-		}
-	} else if part.Shards != K {
-		return stats, fmt.Errorf("distributed: partition has %d shards, options ask for %d", part.Shards, K)
-	}
-	if err := part.Validate(in); err != nil {
-		return stats, err
-	}
-	if opts.OnTopology != nil {
-		opts.OnTopology(part)
-	}
-	st, err := federation.NewStore(in.NumTasks(), opts.Shard, K)
+	f, err := newNodeRun(in, opts)
 	if err != nil {
 		return stats, err
 	}
-	if opts.PeerRetry <= 0 {
-		opts.PeerRetry = 100 * time.Millisecond
+	opts = f.opts
+	if opts.OnTopology != nil {
+		opts.OnTopology(f.part)
 	}
-	if opts.PeerTimeout <= 0 {
-		opts.PeerTimeout = 2 * time.Minute
-	}
-
-	f := &nodeRun{
-		in:       in,
-		opts:     opts,
-		part:     part,
-		st:       st,
-		policy:   policy,
-		rnd:      rng.New(opts.Platform.Seed),
-		tw:       transcriptWriter{w: opts.Transcript},
-		reqStash: make(map[int]map[int]*wire.ShardRequests),
-		stats:    stats,
-	}
-	f.mesh = newPeerMesh(peerLn, opts.Shard, opts.PeerAddrs, opts.PeerRetry, opts.PeerTimeout, st, opts.Resume, opts.PeerObserver)
+	f.mesh = newPeerMesh(peerLn, opts.Shard, opts.PeerAddrs, opts.PeerRetry, opts.PeerTimeout, f.st, opts.Resume, opts.PeerObserver)
 	defer f.mesh.close()
-	// Every return below reports f.stats. The link and message counters are
-	// final only once the run has stopped, so they are read here, after
-	// every later deferred step, and stored into the named result.
+	// Every return below reports f.stats. The reconnect count is final
+	// only once the mesh is down, so it is read here, after every later
+	// deferred step, and stored into the named result.
 	defer func() {
 		for _, l := range f.mesh.links {
 			f.stats.Reconnects += f.mesh.status(l).Reconnects
-		}
-		if f.plat != nil {
-			f.stats.MessagesSent = f.plat.ctr.Sent()
-			f.stats.MessagesReceived = f.plat.ctr.Recv()
 		}
 		stats = f.stats
 	}()
@@ -255,10 +277,7 @@ func ServeNode(agentLn, peerLn net.Listener, in *core.Instance, opts NodeOptions
 	}
 	f.mesh.round.Store(int64(startSlot))
 
-	// Agent handshake: accept exactly the owned users, identified by their
-	// hellos, then run the standard init phase over them.
-	owned := part.Owned[opts.Shard]
-	conns, err := acceptOwnedAgents(agentLn, in, part, opts.Shard)
+	conns, err := acceptAgents(agentLn, f.part.Owned[opts.Shard])
 	if err != nil {
 		return f.stats, err
 	}
@@ -267,17 +286,39 @@ func ServeNode(agentLn, peerLn net.Listener, in *core.Instance, opts NodeOptions
 			c.Close()
 		}
 	}()
-	shardCfg := opts.Platform
-	shardCfg.Observer = nil
-	shardCfg.ObservePotential = false
-	f.plat, err = New(in, conns, WithConfig(shardCfg), WithShard(opts.Shard, K), WithUsers(owned), withStore(st))
+	err = f.run(conns, startSlot)
+	return f.stats, err
+}
+
+// run drives this shard once its owned agents are connected (conns in
+// owned-user order): the standard init phase, the initial count batch,
+// then the slot loop from startSlot.
+func (f *nodeRun) run(conns []Conn, startSlot int) (err error) {
+	start := time.Now()
+	self := f.opts.Shard
+	// Only shard 0 of an in-process federation observes, and it reports
+	// the shared global profile; a lone multi-node shard knows no global
+	// profile to report.
+	shardCfg := f.opts.Platform
+	if f.choices == nil || self != 0 {
+		shardCfg.Observer = nil
+		shardCfg.ObservePotential = false
+	}
+	f.plat, err = New(f.in, conns, WithConfig(shardCfg), WithShard(self, f.opts.Shards), WithUsers(f.part.Owned[self]), withStore(f.st))
 	if err != nil {
-		return f.stats, fmt.Errorf("distributed: shard %d: %w", opts.Shard, err)
+		return fmt.Errorf("distributed: shard %d: %w", self, err)
 	}
+	if f.choices != nil {
+		f.plat.choices = f.choices
+	}
+	defer func() {
+		f.stats.MessagesSent = f.plat.ctr.Sent()
+		f.stats.MessagesReceived = f.plat.ctr.Recv()
+	}()
 	if err := f.plat.runInit(); err != nil {
-		return f.stats, err
+		return err
 	}
-	for _, u := range owned {
+	for _, u := range f.part.Owned[self] {
 		f.tw.printf("init user %d route %d\n", u, f.plat.choices[u])
 	}
 	// Broadcast the initial count batch. A fresh federation stamps it
@@ -286,20 +327,21 @@ func ServeNode(agentLn, peerLn net.Listener, in *core.Instance, opts NodeOptions
 	// of the dead incarnation plus the fresh fleet's initial decisions in
 	// one batch — and skips the barrier (its peers are parked mid-round,
 	// not flushing).
-	f.mesh.broadcastGossip(st.Flush(), startSlot-1)
-	if !opts.Resume {
+	f.flush(startSlot - 1)
+	if !f.opts.Resume {
 		if err := f.barrier(0); err != nil {
-			return f.stats, err
+			return err
 		}
+		f.plat.observe(0, 0, nil, time.Since(start))
 	}
 
 	if err := f.slotLoop(startSlot); err != nil {
-		return f.stats, err
+		return err
 	}
 	if f.tw.err != nil {
-		return f.stats, fmt.Errorf("distributed: transcript: %w", f.tw.err)
+		return fmt.Errorf("distributed: transcript: %w", f.tw.err)
 	}
-	return f.stats, nil
+	return nil
 }
 
 // recover rebuilds this node's replica from its peers and returns the
@@ -375,11 +417,13 @@ func (f *nodeRun) recover() (int, error) {
 func (f *nodeRun) slotLoop(startSlot int) error {
 	maxSlots := f.plat.cfg.MaxSlots
 	self := f.opts.Shard
+	f.loopStart = time.Now()
 	for slot := startSlot; slot <= maxSlots; slot++ {
 		f.mesh.round.Store(int64(slot))
 		if f.opts.SlotDelay > 0 {
 			time.Sleep(f.opts.SlotDelay)
 		}
+		slotTimer := telemetry.StartSpan(f.plat.tel.slotDuration)
 		own, err := f.plat.collectRequests(slot)
 		if err != nil {
 			return err
@@ -427,13 +471,14 @@ func (f *nodeRun) slotLoop(startSlot int) error {
 				ownWinners = append(ownWinners, w)
 			}
 		}
-		if _, _, err := f.plat.commitSlot(slot, ownWinners); err != nil {
+		if err := f.plat.commitSlot(slot, ownWinners); err != nil {
 			return err
 		}
-		f.mesh.broadcastGossip(f.st.Flush(), slot)
+		f.flush(slot)
 		if err := f.barrier(slot); err != nil {
 			return err
 		}
+		f.plat.observe(slot, len(merged), winners, slotTimer.End())
 		f.stats.Slots = slot
 		f.stats.RequestsPerSlot = append(f.stats.RequestsPerSlot, len(own))
 		f.stats.SelectedPerSlot = append(f.stats.SelectedPerSlot, len(ownWinners))
@@ -521,7 +566,18 @@ func (f *nodeRun) barrier(round int) error {
 			}
 		}
 	}
+	for _, lag := range f.st.PeerLag() {
+		f.maxLag = max(f.maxLag, lag)
+	}
 	return nil
+}
+
+// flush broadcasts this shard's pending count deltas, stamped with the
+// round they close.
+func (f *nodeRun) flush(round int) {
+	d := f.st.Flush()
+	f.gossipCounts += len(d.Counts)
+	f.mesh.broadcastGossip(d, round)
 }
 
 // finishChoices publishes the owned users' final routes (-1 for users
@@ -551,39 +607,4 @@ func ownBatch(shard, slot int, reqs []engine.Request) *wire.ShardRequests {
 		sort.Slice(sr.Reqs, func(i, j int) bool { return sr.Reqs[i].User < sr.Reqs[j].User })
 	}
 	return sr
-}
-
-// acceptOwnedAgents accepts one connection per owned user on ln,
-// identified by hello, and returns them in owned-user order.
-func acceptOwnedAgents(ln net.Listener, in *core.Instance, part federation.Partition, shard int) ([]Conn, error) {
-	owned := part.Owned[shard]
-	bySlot := make(map[int]int, len(owned)) // user -> index in owned
-	for i, u := range owned {
-		bySlot[u] = i
-	}
-	conns := make([]Conn, len(owned))
-	for accepted := 0; accepted < len(owned); accepted++ {
-		nc, err := ln.Accept()
-		if err != nil {
-			return nil, fmt.Errorf("distributed: accept: %w", err)
-		}
-		conn := NewNetConn(nc)
-		m, err := conn.Recv()
-		if err != nil {
-			return nil, fmt.Errorf("distributed: reading hello: %w", err)
-		}
-		if m.Kind != wire.KindHello {
-			return nil, fmt.Errorf("distributed: first message was %v, want hello", m.Kind)
-		}
-		u := m.Hello.User
-		li, ok := bySlot[u]
-		if !ok {
-			return nil, fmt.Errorf("distributed: user %d is not served by shard %d", u, shard)
-		}
-		if conns[li] != nil {
-			return nil, fmt.Errorf("distributed: duplicate connection for user %d", u)
-		}
-		conns[li] = &pushbackConn{Conn: conn, pending: []*wire.Message{m}}
-	}
-	return conns, nil
 }

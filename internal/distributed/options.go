@@ -130,8 +130,9 @@ func WithUsers(ids []int) Option {
 	return func(s *settings) { s.users = ids }
 }
 
-// withStore injects a pre-built replicated store; used by the federated
-// coordinator so it can drive the gossip exchange itself.
+// withStore injects a pre-built replicated store; a federation shard
+// builds its store before its platform, because its peer mesh (and crash
+// recovery) read and fill the store before the agents connect.
 func withStore(st *federation.Store) Option {
 	return func(s *settings) { s.store = st }
 }
@@ -161,10 +162,7 @@ func New(in *core.Instance, conns []Conn, opts ...Option) (*Platform, error) {
 		if s.shards > 1 {
 			return nil, fmt.Errorf("distributed: sharded platform needs WithUsers (its owned subset)")
 		}
-		users = make([]int, in.NumUsers())
-		for i := range users {
-			users[i] = i
-		}
+		users = allUsers(in.NumUsers())
 	}
 	if len(conns) != len(users) {
 		return nil, fmt.Errorf("distributed: %d connections for %d users", len(conns), len(users))

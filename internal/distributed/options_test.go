@@ -80,7 +80,7 @@ func TestNewOptionDefaults(t *testing.T) {
 	if shard, shards := p.Shard(); shard != -1 || shards != 0 {
 		t.Errorf("standalone platform reports shard %d/%d, want -1/0", shard, shards)
 	}
-	if p.Store() != nil {
+	if p.fed != nil {
 		t.Error("standalone platform has a federation store")
 	}
 	if got := p.Users(); len(got) != 4 || got[0] != 0 || got[3] != 3 {
@@ -94,7 +94,7 @@ func TestNewOptionDefaults(t *testing.T) {
 	if shard, shards := sharded.Shard(); shard != 1 || shards != 2 {
 		t.Errorf("sharded platform reports %d/%d, want 1/2", shard, shards)
 	}
-	st := sharded.Store()
+	st := sharded.fed
 	if st == nil {
 		t.Fatal("sharded platform built no store")
 	}

@@ -11,11 +11,12 @@ import (
 	"repro/internal/wire"
 )
 
-// This file is the transport layer of the multi-node federation
-// (ServeNode): one supervised TCP link per peer shard, carrying the v3
-// peer-to-peer vocabulary — ShardRequests broadcasts, round-stamped
-// GossipDelta batches, and Snapshot transfers for crash recovery — over
-// the binary wire codec.
+// This file is the transport layer of the federation: one link per peer
+// shard, carrying the v3 peer-to-peer vocabulary — ShardRequests
+// broadcasts, round-stamped GossipDelta batches, and Snapshot transfers
+// for crash recovery. A multi-node shard (ServeNode) supervises TCP links
+// over the binary wire codec; the shards of an in-process federation
+// (RunFederated) share pre-connected, unsupervised links (newLocalMesh).
 //
 // Topology and supervision follow one rule: the higher-index shard dials
 // the lower-index one (retrying until the peer is up), the lower-index
@@ -56,10 +57,10 @@ type PeerStatus struct {
 	Lag   int
 }
 
-// peerMesh owns the K-1 supervised links of one multi-node shard.
+// peerMesh owns the K-1 peer links of one shard: supervised TCP links
+// (newPeerMesh) or pre-connected in-process ones (newLocalMesh).
 type peerMesh struct {
 	self    int
-	shards  int
 	addrs   []string // peer-mesh listen address per shard
 	retry   time.Duration
 	timeout time.Duration
@@ -86,7 +87,6 @@ type peerMesh struct {
 func newPeerMesh(ln net.Listener, self int, addrs []string, retry, timeout time.Duration, st *federation.Store, resume bool, observe func(PeerStatus)) *peerMesh {
 	m := &peerMesh{
 		self:    self,
-		shards:  len(addrs),
 		addrs:   addrs,
 		retry:   retry,
 		timeout: timeout,
@@ -113,13 +113,35 @@ func newPeerMesh(ln net.Listener, self int, addrs []string, retry, timeout time.
 	return m
 }
 
+// newLocalMesh builds an in-process mesh over already-connected links
+// (conns[p] is this shard's end of its link to shard p, for every p but
+// self): no listener, no dialers, no supervision. A dead link stays dead —
+// its recv calls deliver what already reached the inbox, then fail at
+// once instead of waiting out a timeout.
+func newLocalMesh(self int, conns map[int]Conn, st *federation.Store) *peerMesh {
+	m := &peerMesh{
+		self:  self,
+		store: st,
+		links: make(map[int]*peerLink, len(conns)),
+	}
+	for p, c := range conns {
+		l := newPeerLink(m, p)
+		l.dead = make(chan struct{})
+		m.links[p] = l
+		l.attach(c, false)
+	}
+	return m
+}
+
 // close tears the mesh down: the listener, every live connection, and the
 // supervisor goroutines.
 func (m *peerMesh) close() {
 	if !m.closed.CompareAndSwap(false, true) {
 		return
 	}
-	m.ln.Close()
+	if m.ln != nil {
+		m.ln.Close()
+	}
 	for _, l := range m.links {
 		l.closeConn()
 	}
@@ -275,6 +297,9 @@ type peerLink struct {
 
 	everUp   chan struct{} // closed on first attach
 	everOnce sync.Once
+	// dead, non-nil on unsupervised links only, is closed once the link's
+	// connection has died and every message it delivered is in the inboxes.
+	dead chan struct{}
 
 	mu          sync.Mutex
 	conn        Conn
@@ -337,6 +362,9 @@ func (l *peerLink) attach(c Conn, peerResume bool) <-chan struct{} {
 // per-kind inboxes.
 func (l *peerLink) pump(c Conn, gen int, down chan struct{}) {
 	defer l.mesh.wg.Done()
+	if l.dead != nil {
+		defer close(l.dead)
+	}
 	defer close(down)
 	defer l.detach(c, gen)
 	for {
@@ -410,36 +438,37 @@ func (l *peerLink) sendRequests(m *wire.Message) { l.send(m, &l.ringReqs) }
 
 // recvGossip waits for the next gossip batch from this peer.
 func (l *peerLink) recvGossip(timeout time.Duration) (*wire.Message, error) {
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case m := <-l.gossipCh:
-		return m, nil
-	case <-t.C:
-		return nil, fmt.Errorf("distributed: no gossip from shard %d within %v", l.peer, timeout)
-	}
+	return recv(l, l.gossipCh, "gossip", timeout)
 }
 
 // recvRequests waits for the next request broadcast from this peer.
 func (l *peerLink) recvRequests(timeout time.Duration) (*wire.ShardRequests, error) {
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case sr := <-l.reqCh:
-		return sr, nil
-	case <-t.C:
-		return nil, fmt.Errorf("distributed: no requests from shard %d within %v", l.peer, timeout)
-	}
+	return recv(l, l.reqCh, "requests", timeout)
 }
 
 // recvSnapshot waits for a recovery snapshot from this peer.
 func (l *peerLink) recvSnapshot(timeout time.Duration) (*wire.Snapshot, error) {
+	return recv(l, l.snapCh, "snapshot", timeout)
+}
+
+// recv waits for the next message on one of l's inboxes. On an
+// unsupervised link a dead connection is final: the inbox is drained
+// first, then recv fails without waiting for the timeout.
+func recv[T any](l *peerLink, inbox <-chan T, what string, timeout time.Duration) (T, error) {
 	t := time.NewTimer(timeout)
 	defer t.Stop()
+	var zero T
 	select {
-	case sn := <-l.snapCh:
-		return sn, nil
+	case v := <-inbox:
+		return v, nil
+	case <-l.dead:
+		select {
+		case v := <-inbox:
+			return v, nil
+		default:
+			return zero, fmt.Errorf("distributed: link to shard %d is down", l.peer)
+		}
 	case <-t.C:
-		return nil, fmt.Errorf("distributed: no snapshot from shard %d within %v", l.peer, timeout)
+		return zero, fmt.Errorf("distributed: no %s from shard %d within %v", what, l.peer, timeout)
 	}
 }

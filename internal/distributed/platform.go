@@ -119,13 +119,6 @@ type sliceCounts []int
 func (s sliceCounts) Add(task, delta int) { s[task] += delta }
 func (s sliceCounts) View([]int) []int    { return s }
 
-// appliedMove records one granted decision after it was applied; the
-// federated coordinator uses it to maintain the global choice profile.
-type appliedMove struct {
-	User, Route int
-	Changed     bool
-}
-
 // Platform is the platform-side state machine of Algorithm 2. It knows the
 // full instance topology (routes, tasks, costs) but never the users'
 // preference weights, which stay on the agents.
@@ -187,11 +180,6 @@ type Platform struct {
 // Shard returns the platform's shard index and total shard count; (-1, 0)
 // for a standalone platform.
 func (p *Platform) Shard() (shard, shards int) { return p.shard, p.shards }
-
-// Store returns the replicated federation store backing this shard's
-// counts, or nil for a standalone platform. Callers wiring their own
-// gossip exchange flush and ingest through it.
-func (p *Platform) Store() *federation.Store { return p.fed }
 
 // Users returns the global user IDs served by this platform, in
 // connection order.
@@ -445,42 +433,39 @@ func checkTau(tau float64) error {
 
 // commitSlot grants the slot's winners (all of which must be users this
 // platform serves), collects and applies their decisions, and closes the
-// slot (Algorithm 2 lines 8–10). It returns the applied moves and the
-// traced ΔΦ of the slot.
-func (p *Platform) commitSlot(slot int, winners []engine.Request) ([]appliedMove, float64, error) {
+// slot (Algorithm 2 lines 8–10).
+func (p *Platform) commitSlot(slot int, winners []engine.Request) error {
 	for _, w := range winners {
 		li := p.local[w.User]
 		if li < 0 {
-			return nil, 0, fmt.Errorf("distributed: winner %d not served by shard %d", w.User, p.shard)
+			return fmt.Errorf("distributed: winner %d not served by shard %d", w.User, p.shard)
 		}
 		if err := p.send(li, &wire.Message{Kind: wire.KindGrant, Grant: &wire.Grant{Slot: slot}}); err != nil {
-			return nil, 0, err
+			return err
 		}
 	}
-	applied := make([]appliedMove, 0, len(winners))
 	var slotDPhi float64
 	for _, w := range winners {
 		li := p.local[w.User]
 		m, err := p.expect(li, wire.KindDecision, slot, true)
 		if err != nil {
-			return applied, 0, err
+			return err
 		}
 		if m.Decision.Slot != slot {
-			return applied, 0, fmt.Errorf("distributed: user %d decision for slot %d in slot %d", p.users[li], m.Decision.Slot, slot)
+			return fmt.Errorf("distributed: user %d decision for slot %d in slot %d", p.users[li], m.Decision.Slot, slot)
 		}
 		u := int(w.User)
 		old := p.choices[u]
 		if err := p.applyDecision(u, m.Decision.Route, false); err != nil {
-			return applied, 0, err
+			return err
 		}
-		applied = append(applied, appliedMove{User: u, Route: m.Decision.Route, Changed: m.Decision.Route != old})
 		slotDPhi += p.traceMove(u, old, m.Decision.Route, slot)
 	}
 	p.tel.slots.Inc()
 	p.tel.grants.Add(uint64(len(winners)))
 	p.slotSpan.FinishSlot(p.lastRequests, len(winners), slotDPhi)
 	p.slotSpan = tracing.Span{}
-	return applied, slotDPhi, nil
+	return nil
 }
 
 // terminate ends the protocol for every served user (Algorithm 2 lines
@@ -542,7 +527,7 @@ func (p *Platform) Run() (stats RunStats, err error) {
 		selSpan.End()
 		stats.SelectedPerSlot = append(stats.SelectedPerSlot, len(winners))
 		stats.TotalUpdates += len(winners)
-		if _, _, err := p.commitSlot(slot, winners); err != nil {
+		if err := p.commitSlot(slot, winners); err != nil {
 			return stats, err
 		}
 		p.observe(slot, len(requests), winners, slotTimer.End())
@@ -588,9 +573,8 @@ func (p *Platform) observe(slot, requests int, winners []engine.Request, elapsed
 }
 
 // selectWinners applies a selection policy to a slot's requests
-// (Algorithm 2 line 8). It is shared by the standalone platform and the
-// federated coordinator, which selects over the merged cross-shard
-// request set.
+// (Algorithm 2 line 8). It is shared by the standalone platform and every
+// federation shard, which selects over the merged cross-shard request set.
 func selectWinners(policy SelectionPolicy, rnd *rng.Stream, requests []engine.Request) []engine.Request {
 	switch policy {
 	case PUU:

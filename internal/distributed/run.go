@@ -26,7 +26,25 @@ type InProcessOptions struct {
 // channel transports. It blocks until the protocol terminates and returns
 // the platform's statistics. Agent errors are joined into the returned
 // error.
-func RunInProcess(in *core.Instance, opts InProcessOptions) (RunStats, error) {
+func RunInProcess(in *core.Instance, opts InProcessOptions) (stats RunStats, err error) {
+	err = runAgentFleet(in, opts, func(conns []Conn) error {
+		plat, err := New(in, conns, WithConfig(opts.Platform))
+		if err != nil {
+			return err
+		}
+		stats, err = plat.Run()
+		return err
+	})
+	return stats, err
+}
+
+// runAgentFleet runs one in-process agent goroutine per user while
+// platform drives the protocol over the platform ends of their channel
+// links (with seeded duplicate injection when opts.DupProb is set). Agents
+// still waiting on a platform that failed are released by closing its
+// ends. The platform's error wins; otherwise the first agent error is
+// returned.
+func runAgentFleet(in *core.Instance, opts InProcessOptions, platform func(conns []Conn) error) error {
 	n := in.NumUsers()
 	platConns := make([]Conn, n)
 	agentConns := make([]Conn, n)
@@ -39,10 +57,6 @@ func RunInProcess(in *core.Instance, opts InProcessOptions) (RunStats, error) {
 			ac = NewFaultConn(ac, FaultProfile{DupProb: opts.DupProb}, faultSeed(opts.AgentSeedBase, i, 1), nil)
 		}
 		platConns[i], agentConns[i] = pc, ac
-	}
-	plat, err := New(in, platConns, WithConfig(opts.Platform))
-	if err != nil {
-		return RunStats{}, err
 	}
 	u := in.Users
 	var wg sync.WaitGroup
@@ -62,14 +76,19 @@ func RunInProcess(in *core.Instance, opts InProcessOptions) (RunStats, error) {
 			agentErrs[i] = a.Run()
 		}(i)
 	}
-	stats, perr := plat.Run()
+	perr := platform(platConns)
+	if perr != nil {
+		for _, c := range platConns {
+			c.Close()
+		}
+	}
 	wg.Wait()
 	for i, e := range agentErrs {
 		if e != nil && perr == nil {
 			perr = fmt.Errorf("agent %d: %w", i, e)
 		}
 	}
-	return stats, perr
+	return perr
 }
 
 // faultSeed derives a per-link, per-side fault schedule seed.
@@ -82,29 +101,9 @@ func faultSeed(base uint64, user, side int) uint64 {
 // Algorithm 2 to completion. The consumed Hello messages are replayed to the
 // protocol via a pushback connection.
 func ServeTCP(ln net.Listener, in *core.Instance, cfg PlatformConfig) (RunStats, error) {
-	n := in.NumUsers()
-	conns := make([]Conn, n)
-	for accepted := 0; accepted < n; accepted++ {
-		nc, err := ln.Accept()
-		if err != nil {
-			return RunStats{}, fmt.Errorf("distributed: accept: %w", err)
-		}
-		conn := NewNetConn(nc)
-		m, err := conn.Recv()
-		if err != nil {
-			return RunStats{}, fmt.Errorf("distributed: reading hello: %w", err)
-		}
-		if m.Kind != wire.KindHello {
-			return RunStats{}, fmt.Errorf("distributed: first message was %v, want hello", m.Kind)
-		}
-		u := m.Hello.User
-		if u < 0 || u >= n {
-			return RunStats{}, fmt.Errorf("distributed: hello from unknown user %d", u)
-		}
-		if conns[u] != nil {
-			return RunStats{}, fmt.Errorf("distributed: duplicate connection for user %d", u)
-		}
-		conns[u] = &pushbackConn{Conn: conn, pending: []*wire.Message{m}}
+	conns, err := acceptAgents(ln, allUsers(in.NumUsers()))
+	if err != nil {
+		return RunStats{}, err
 	}
 	plat, err := New(in, conns, WithConfig(cfg))
 	if err != nil {
@@ -116,6 +115,51 @@ func ServeTCP(ln net.Listener, in *core.Instance, cfg PlatformConfig) (RunStats,
 		}
 	}()
 	return plat.Run()
+}
+
+// acceptAgents accepts one agent connection per user in users on ln,
+// identifies each by its hello, and returns them in the order of users.
+// The consumed hello is replayed to the protocol through a pushback
+// connection.
+func acceptAgents(ln net.Listener, users []int) ([]Conn, error) {
+	index := make(map[int]int, len(users))
+	for i, u := range users {
+		index[u] = i
+	}
+	conns := make([]Conn, len(users))
+	for accepted := 0; accepted < len(users); accepted++ {
+		nc, err := ln.Accept()
+		if err != nil {
+			return nil, fmt.Errorf("distributed: accept: %w", err)
+		}
+		conn := NewNetConn(nc)
+		m, err := conn.Recv()
+		if err != nil {
+			return nil, fmt.Errorf("distributed: reading hello: %w", err)
+		}
+		if m.Kind != wire.KindHello {
+			return nil, fmt.Errorf("distributed: first message was %v, want hello", m.Kind)
+		}
+		u := m.Hello.User
+		i, ok := index[u]
+		if !ok {
+			return nil, fmt.Errorf("distributed: hello from user %d, which this listener does not serve", u)
+		}
+		if conns[i] != nil {
+			return nil, fmt.Errorf("distributed: duplicate connection for user %d", u)
+		}
+		conns[i] = &pushbackConn{Conn: conn, pending: []*wire.Message{m}}
+	}
+	return conns, nil
+}
+
+// allUsers returns the user IDs 0..n-1.
+func allUsers(n int) []int {
+	users := make([]int, n)
+	for i := range users {
+		users[i] = i
+	}
+	return users
 }
 
 // DialTCP connects a user agent to a platform at addr and runs Algorithm 1
