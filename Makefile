@@ -50,9 +50,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCHPathEquivalence -fuzztime 5s ./internal/roadnet
 
 # Full local CI gate: build, vet, tests, race (including the chaos suite),
-# short fuzz passes, and smoke runs of the benchmark suites (short
+# short fuzz passes, smoke runs of the benchmark suites (short
 # benchtime: checks the harnesses and the speedup/zero-alloc gates, not
-# timings).
+# timings), and the §5 claims check (vcsnav -check exits 1 on any FAIL).
 ci: build vet test race fuzz
 	$(GO) test -race -short -count=1 ./internal/distributed ./internal/wire
 	$(GO) test -race -short -count=1 -timeout 300s ./internal/distributed/e2e
@@ -62,6 +62,7 @@ ci: build vet test race fuzz
 	$(MAKE) bench-wire BENCHTIME=20ms BENCH_WIRE_OUT=/tmp/BENCH_wire.json
 	$(MAKE) bench-federation FED_M=2000 FED_ROUNDS=8 BENCH_FED_OUT=/tmp/BENCH_federation.json
 	$(MAKE) bench-series BENCHTIME=20ms BENCH_SERIES_OUT=/tmp/BENCH_series.json
+	$(MAKE) check
 
 # One benchmark per table/figure plus ablations; -benchtime=1x exercises
 # each once (raise for stable timings).

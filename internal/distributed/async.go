@@ -2,8 +2,11 @@ package distributed
 
 import (
 	"fmt"
+	"slices"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/tracing"
 	"repro/internal/wire"
 )
@@ -29,165 +32,38 @@ type AsyncStats struct {
 	Choices      []int
 }
 
-// asyncEvent is one message from one user, merged across connections.
+// asyncEvent is one message from one served user, merged across
+// connections; li indexes the platform's conns.
 type asyncEvent struct {
-	user int
-	msg  *wire.Message
-	err  error
+	li  int
+	msg *wire.Message
+	err error
 }
 
-// asyncPlatform drives the asynchronous protocol. Build it through New
-// with WithAsync (or the deprecated AsyncPlatform wrapper).
-type asyncPlatform struct {
-	in      *core.Instance
-	conns   []Conn
-	nk      []int
-	choices []int
-	version int
-	// observer, when non-nil, is invoked after initialization and after
-	// every applied update with an Observation — the same struct the
-	// synchronous platform reports, with Slot carrying the counts version.
-	// The chaos tests use it to assert the potential ascends across
-	// applied updates (Theorem 2).
-	observer func(Observation)
-	// tracer, when non-nil, records the run into the distributed tracer:
-	// the whole asynchronous run is one trace (there are no slots to cut
-	// it at), with one move event per applied update carrying ΔP_i/ΔΦ
-	// from an incrementally maintained profile.
-	tracer *tracing.Tracer
-
-	traceCtx tracing.SpanContext
-	prof     *core.Profile
-}
-
-// newAsyncPlatform prepares an asynchronous run over conns. The
-// connections are wrapped (sequence dedup, and transport-span tracing when
-// the tracer is set) at the start of Run, so observer and tracer can be
-// assigned after construction.
-func newAsyncPlatform(in *core.Instance, conns []Conn) (*asyncPlatform, error) {
-	if err := in.Validate(); err != nil {
-		return nil, fmt.Errorf("distributed: %w", err)
-	}
-	if len(conns) != in.NumUsers() {
-		return nil, fmt.Errorf("distributed: %d connections for %d users", len(conns), in.NumUsers())
-	}
-	return &asyncPlatform{
-		in:      in,
-		conns:   append([]Conn(nil), conns...),
-		nk:      make([]int, in.NumTasks()),
-		choices: make([]int, in.NumUsers()),
-	}, nil
-}
-
-// send stamps the run's trace context onto m and sends it to user u.
-func (p *asyncPlatform) send(u int, m *wire.Message) error {
-	StampTrace(m, p.traceCtx)
-	return p.conns[u].Send(m)
-}
-
-// traceMove records one applied update as a move event with exact
-// ΔP_i/ΔΦ, keeping the tracing profile in lockstep.
-func (p *asyncPlatform) traceMove(u, oldRoute, newRoute int) {
-	if p.prof == nil || newRoute == oldRoute {
-		return
-	}
-	uid := core.UserID(u)
-	dP := p.prof.ProfitDeltaIf(uid, newRoute)
-	before := p.prof.Potential()
-	p.prof.SetChoice(uid, newRoute)
-	dPhi := p.prof.Potential() - before
-	p.tracer.RecordMove(p.traceCtx, u, p.version, oldRoute, newRoute, dP, dPhi)
-}
-
-// initMsg/slotMsg mirror the synchronous platform's views.
-func (p *asyncPlatform) initMsg(u, currentRoute int) *wire.Message {
-	sync := Platform{in: p.in}
-	return sync.initMsg(u, currentRoute)
-}
-
-func (p *asyncPlatform) viewMsg(u int) *wire.Message {
-	counts := map[int]int{}
-	for _, r := range p.in.Users[u].Routes {
-		for _, k := range r.Tasks {
-			counts[int(k)] = p.nk[k]
-		}
-	}
-	return &wire.Message{Kind: wire.KindSlotInfo, SlotInfo: &wire.SlotInfo{Slot: p.version, Counts: counts}}
-}
-
-func (p *asyncPlatform) applyDecision(u, c int, initial bool) error {
-	if c < 0 || c >= len(p.in.Users[u].Routes) {
-		return fmt.Errorf("distributed: user %d decided out-of-range route %d", u, c)
-	}
-	if !initial {
-		for _, k := range p.in.Users[u].Routes[p.choices[u]].Tasks {
-			p.nk[k]--
-		}
-	}
-	for _, k := range p.in.Users[u].Routes[c].Tasks {
-		p.nk[k]++
-	}
-	p.choices[u] = c
-	return nil
-}
-
-// Run executes the asynchronous protocol to convergence.
-func (p *asyncPlatform) Run() (AsyncStats, error) {
+// runAsync drives the asynchronous protocol on the platform's own state:
+// the slotted handshake (runInit), count store, views (slotMsg, numbered
+// by counts version), decisions, tracing and observations. The whole run
+// is one trace: runInit's span parents every later event.
+func (p *Platform) runAsync() (AsyncStats, error) {
 	var stats AsyncStats
-	n := len(p.conns)
-	for i, c := range p.conns {
-		p.conns[i] = WithSeq(WithTrace(c, p.tracer, i), -1)
+	start := time.Now()
+	if err := p.runInit(); err != nil {
+		return stats, err
 	}
-	// The whole asynchronous run is one trace; the init span covers the
-	// handshake and parents every later event.
-	runSpan := p.tracer.StartSpan(p.tracer.StartTrace(), tracing.KindInit, -1, 0)
-	p.traceCtx = runSpan.Context()
-	// Handshake, synchronous per user as in the slotted protocol.
-	for u := 0; u < n; u++ {
-		m, err := p.conns[u].Recv()
-		if err != nil {
-			return stats, err
-		}
-		if m.Kind != wire.KindHello || m.Hello.User != u {
-			return stats, fmt.Errorf("distributed: bad hello on conn %d", u)
-		}
-		if err := p.send(u, p.initMsg(u, -1)); err != nil {
-			return stats, err
-		}
-	}
-	for u := 0; u < n; u++ {
-		m, err := p.conns[u].Recv()
-		if err != nil {
-			return stats, err
-		}
-		if m.Kind != wire.KindDecision {
-			return stats, fmt.Errorf("distributed: expected initial decision from %d, got %v", u, m.Kind)
-		}
-		if err := p.applyDecision(u, m.Decision.Route, true); err != nil {
-			return stats, err
-		}
-	}
-	if p.tracer.Enabled() {
-		prof, err := core.NewProfile(p.in, p.choices)
-		if err != nil {
-			return stats, fmt.Errorf("distributed: tracing profile: %w", err)
-		}
-		p.prof = prof
-	}
-	runSpan.FinishSlot(0, n, 0)
-	p.version = 1
-	stats.Versions = 1
-	p.observe(nil)
+	stats.Versions = 1 // the counts version that numbers every view
+	p.view = p.store.View(p.view)
+	p.observe(stats.Versions, 0, nil, time.Since(start))
 
 	// Merge incoming messages from all users.
+	n := len(p.conns)
 	events := make(chan asyncEvent, n*4)
 	stop := make(chan struct{})
-	for u := 0; u < n; u++ {
-		go func(u int) {
+	for li := range p.conns {
+		go func(li int) {
 			for {
-				m, err := p.conns[u].Recv()
+				m, err := p.conns[li].Recv()
 				select {
-				case events <- asyncEvent{user: u, msg: m, err: err}:
+				case events <- asyncEvent{li: li, msg: m, err: err}:
 				case <-stop:
 					return
 				}
@@ -195,31 +71,36 @@ func (p *asyncPlatform) Run() (AsyncStats, error) {
 					return
 				}
 			}
-		}(u)
+		}(li)
 	}
 	defer close(stop)
 
-	// Broadcast the initial view.
-	for u := 0; u < n; u++ {
-		if err := p.send(u, p.viewMsg(u)); err != nil {
-			return stats, err
+	broadcast := func() error {
+		for li, u := range p.users {
+			if err := p.send(li, p.slotMsg(u, stats.Versions)); err != nil {
+				return err
+			}
 		}
+		return nil
+	}
+	if err := broadcast(); err != nil {
+		return stats, err
 	}
 
-	// ackVersion[u] = newest version user u declared "no improvement" for.
+	// ackVersion[li] = newest version that user declared "no improvement" for.
 	ackVersion := make([]int, n)
 	for i := range ackVersion {
 		ackVersion[i] = -1
 	}
-	granted := -1     // user holding the token, -1 if none
-	var pending []int // users with outstanding improvement requests
+	granted := -1     // conn index holding the token, -1 if none
+	var pending []int // conn indices with outstanding improvement requests
 
 	converged := func() bool {
 		if granted != -1 || len(pending) > 0 {
 			return false
 		}
 		for _, v := range ackVersion {
-			if v != p.version {
+			if v != stats.Versions {
 				return false
 			}
 		}
@@ -227,11 +108,12 @@ func (p *asyncPlatform) Run() (AsyncStats, error) {
 	}
 	grantNext := func() error {
 		for granted == -1 && len(pending) > 0 {
-			u := pending[0]
+			li := pending[0]
 			pending = pending[1:]
-			granted = u
+			granted = li
 			stats.Grants++
-			if err := p.send(u, &wire.Message{Kind: wire.KindGrant, Grant: &wire.Grant{Slot: p.version}}); err != nil {
+			p.tel.grants.Inc()
+			if err := p.send(li, &wire.Message{Kind: wire.KindGrant, Grant: &wire.Grant{Slot: stats.Versions}}); err != nil {
 				return err
 			}
 		}
@@ -240,100 +122,75 @@ func (p *asyncPlatform) Run() (AsyncStats, error) {
 
 	for !converged() {
 		ev := <-events
+		u := p.users[ev.li]
 		if ev.err != nil {
-			return stats, fmt.Errorf("distributed: user %d: %w", ev.user, ev.err)
+			return stats, fmt.Errorf("distributed: user %d: %w", u, ev.err)
 		}
 		switch ev.msg.Kind {
 		case wire.KindRequest:
 			r := ev.msg.Request
 			if r.HasUpdate {
+				p.tel.requests.Inc()
 				// Enqueue once; duplicates are harmless but wasteful.
-				already := granted == ev.user
-				for _, q := range pending {
-					if q == ev.user {
-						already = true
-					}
+				if granted != ev.li && !slices.Contains(pending, ev.li) {
+					pending = append(pending, ev.li)
 				}
-				if !already {
-					pending = append(pending, ev.user)
-				}
-			} else if r.Slot > ackVersion[ev.user] {
-				ackVersion[ev.user] = r.Slot
+			} else if r.Slot > ackVersion[ev.li] {
+				ackVersion[ev.li] = r.Slot
 			}
 			if err := grantNext(); err != nil {
 				return stats, err
 			}
 		case wire.KindDecision:
-			if ev.user != granted {
-				return stats, fmt.Errorf("distributed: decision from %d without the token", ev.user)
+			if ev.li != granted {
+				return stats, fmt.Errorf("distributed: decision from %d without the token", u)
 			}
 			granted = -1
-			old := p.choices[ev.user]
-			if err := p.applyDecision(ev.user, ev.msg.Decision.Route, false); err != nil {
+			old := p.choices[u]
+			if err := p.applyDecision(u, ev.msg.Decision.Route, false); err != nil {
 				return stats, err
 			}
-			if p.choices[ev.user] != old {
+			if p.choices[u] != old {
 				stats.TotalUpdates++
-				p.version++
 				stats.Versions++
-				p.traceMove(ev.user, old, p.choices[ev.user])
-				p.observe([]int{ev.user})
+				p.view = p.store.View(p.view)
+				p.traceMove(u, old, p.choices[u], stats.Versions)
+				p.observe(stats.Versions, 0, []engine.Request{{User: core.UserID(u)}}, 0)
 				// Counts changed: rebroadcast views; acks for older
 				// versions become stale automatically.
-				for u := 0; u < n; u++ {
-					if err := p.send(u, p.viewMsg(u)); err != nil {
-						return stats, err
-					}
-				}
-			} else {
-				// No-op move (the improvement vanished): the user's reply to
-				// the current view will carry its ack.
-				if err := p.send(ev.user, p.viewMsg(ev.user)); err != nil {
+				if err := broadcast(); err != nil {
 					return stats, err
 				}
+			} else if err := p.send(ev.li, p.slotMsg(u, stats.Versions)); err != nil {
+				// No-op move (the improvement vanished): the user's reply
+				// to the current view carries its ack.
+				return stats, err
 			}
 			if err := grantNext(); err != nil {
 				return stats, err
 			}
 		case wire.KindHello:
 			// Mid-run restart: re-init and resend the current view.
-			p.tracer.RecordReconnect(p.traceCtx, ev.user, p.version)
-			if err := p.send(ev.user, p.initMsg(ev.user, p.choices[ev.user])); err != nil {
+			p.tel.reconnects.Inc()
+			p.tr.RecordReconnect(p.traceCtx, u, stats.Versions)
+			if err := p.send(ev.li, p.initMsg(u, p.choices[u])); err != nil {
 				return stats, err
 			}
-			if err := p.send(ev.user, p.viewMsg(ev.user)); err != nil {
+			if err := p.send(ev.li, p.slotMsg(u, stats.Versions)); err != nil {
 				return stats, err
 			}
 		default:
-			return stats, fmt.Errorf("distributed: unexpected async message %v from %d", ev.msg.Kind, ev.user)
+			return stats, fmt.Errorf("distributed: unexpected async message %v from %d", ev.msg.Kind, u)
 		}
 	}
-	for u := 0; u < n; u++ {
-		if err := p.send(u, &wire.Message{Kind: wire.KindTerminate, Terminate: &wire.Terminate{Slot: p.version}}); err != nil {
+	for li := range p.conns {
+		if err := p.send(li, &wire.Message{Kind: wire.KindTerminate, Terminate: &wire.Terminate{Slot: stats.Versions}}); err != nil {
 			return stats, err
 		}
 	}
 	stats.Converged = true
 	stats.Choices = append([]int(nil), p.choices...)
 	return stats, nil
-}
-
-// observe invokes the configured observer with this version's Observation
-// (Slot carries the counts version; grantedUsers the applied updater, if
-// any).
-func (p *asyncPlatform) observe(grantedUsers []int) {
-	if p.observer == nil {
-		return
-	}
-	o := Observation{
-		Slot:    p.version,
-		Granted: len(grantedUsers),
-		Choices: append([]int(nil), p.choices...),
-	}
-	if len(grantedUsers) > 0 {
-		o.GrantedUsers = append([]int(nil), grantedUsers...)
-	}
-	p.observer(o)
 }
 
 // AsyncAgent is the user-side loop for the asynchronous protocol. Unlike
@@ -412,7 +269,7 @@ type AsyncRunOptions struct {
 	Retry     RetryPolicy
 	// Log aggregates injected faults across all links when non-nil.
 	Log *FaultLog
-	// Observer is installed on the platform (see AsyncPlatform.Observer).
+	// Observer is installed on the platform (see WithObserver).
 	Observer func(Observation)
 	// Tracer is installed on the platform, every agent, and every fault /
 	// retry decorator, so one flight recorder sees the whole run.
@@ -427,12 +284,10 @@ func RunAsyncInProcess(in *core.Instance, agentSeedBase uint64) (AsyncStats, err
 
 // RunAsyncInProcessOpts is RunAsyncInProcess with fault injection, retry
 // hardening, and an update observer.
-func RunAsyncInProcessOpts(in *core.Instance, opts AsyncRunOptions) (AsyncStats, error) {
+func RunAsyncInProcessOpts(in *core.Instance, opts AsyncRunOptions) (stats AsyncStats, err error) {
 	n := in.NumUsers()
-	platConns := make([]Conn, n)
-	agentConns := make([]Conn, n)
 	faulty := opts.Profile != (FaultProfile{})
-	for i := 0; i < n; i++ {
+	link := func(i int) (Conn, Conn) {
 		pc, ac := ChanPair(4 * n)
 		if faulty {
 			pc = NewFaultConn(pc, opts.Profile, faultSeed(opts.FaultSeed, i, 0), opts.Log).WithTracer(opts.Tracer, i)
@@ -442,34 +297,23 @@ func RunAsyncInProcessOpts(in *core.Instance, opts AsyncRunOptions) (AsyncStats,
 			pc = WithRetryTraced(pc, opts.Retry, opts.Tracer, i)
 			ac = WithRetryTraced(ac, opts.Retry, opts.Tracer, i)
 		}
-		platConns[i], agentConns[i] = pc, ac
+		return pc, ac
 	}
-	plat, err := New(in, platConns, WithAsync(), WithObserver(opts.Observer), WithTracer(opts.Tracer))
-	if err != nil {
-		return AsyncStats{}, err
+	agent := func(i int, c Conn) agentRunner {
+		u := in.Users[i]
+		return NewAsyncAgent(c, AgentConfig{
+			User: i, Alpha: u.Alpha, Beta: u.Beta, Gamma: u.Gamma,
+			Seed:   opts.AgentSeedBase + uint64(i),
+			Tracer: opts.Tracer,
+		})
 	}
-	errs := make([]error, n)
-	done := make(chan int, n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			a := NewAsyncAgent(agentConns[i], AgentConfig{
-				User:  i,
-				Alpha: in.Users[i].Alpha, Beta: in.Users[i].Beta, Gamma: in.Users[i].Gamma,
-				Seed:   opts.AgentSeedBase + uint64(i),
-				Tracer: opts.Tracer,
-			})
-			errs[i] = a.Run()
-			done <- i
-		}(i)
-	}
-	stats, perr := plat.RunAsync()
-	for i := 0; i < n; i++ {
-		<-done
-	}
-	for i, e := range errs {
-		if e != nil && perr == nil {
-			perr = fmt.Errorf("agent %d: %w", i, e)
+	err = runAgentFleet(n, link, agent, func(conns []Conn) error {
+		plat, err := New(in, conns, WithAsync(), WithObserver(opts.Observer), WithTracer(opts.Tracer))
+		if err != nil {
+			return err
 		}
-	}
-	return stats, perr
+		stats, err = plat.RunAsync()
+		return err
+	})
+	return stats, err
 }

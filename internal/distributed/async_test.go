@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/rng"
+	"repro/internal/telemetry"
 )
 
 func TestAsyncConvergesToNash(t *testing.T) {
@@ -162,3 +163,96 @@ var errNotConverged = &notConvergedError{}
 type notConvergedError struct{}
 
 func (*notConvergedError) Error() string { return "did not converge" }
+
+// TestAsyncHonoursOptions checks that the asynchronous protocol honours
+// the platform options it shares with the slotted one: every observation
+// carries Φ under WithObservePotential, the run stats count the traffic
+// the links carried, and the registry given by WithTelemetry records it.
+func TestAsyncHonoursOptions(t *testing.T) {
+	in := randomInstance(47, 8, 5)
+	n := in.NumUsers()
+	links := &Counter{}
+	platConns := make([]Conn, n)
+	agentConns := make([]Conn, n)
+	for i := range platConns {
+		pc, ac := ChanPair(4 * n)
+		platConns[i], agentConns[i] = WithCounter(pc, links), ac
+	}
+	reg := telemetry.NewRegistry()
+	var obs []Observation
+	p, err := New(in, platConns, WithAsync(), WithObservePotential(), WithTelemetry(reg),
+		WithObserver(func(o Observation) { obs = append(obs, o) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			done <- NewAsyncAgent(agentConns[i], AgentConfig{
+				User:  i,
+				Alpha: in.Users[i].Alpha, Beta: in.Users[i].Beta, Gamma: in.Users[i].Gamma,
+				Seed: 7 + uint64(i),
+			}).Run()
+		}(i)
+	}
+	stats, err := p.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(obs) == 0 {
+		t.Fatal("observer never invoked")
+	}
+	for _, o := range obs {
+		if !o.PotentialValid {
+			t.Fatalf("observation of version %d carries no potential", o.Slot)
+		}
+		if want := profileOf(t, in, o.Choices).Potential(); o.Potential != want {
+			t.Errorf("version %d: potential %g, want %g", o.Slot, o.Potential, want)
+		}
+	}
+	if stats.MessagesSent == 0 || stats.MessagesReceived == 0 {
+		t.Fatalf("run counted %d sent, %d received", stats.MessagesSent, stats.MessagesReceived)
+	}
+	if stats.MessagesSent != links.Sent() || stats.MessagesReceived != links.Recv() {
+		t.Errorf("run counted %d/%d sent/received, links carried %d/%d",
+			stats.MessagesSent, stats.MessagesReceived, links.Sent(), links.Recv())
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters["distributed_sent_total"]; got != uint64(stats.MessagesSent) {
+		t.Errorf("registry counted %d sent, run %d", got, stats.MessagesSent)
+	}
+	if got := snap.Counters["distributed_recv_total"]; got != uint64(stats.MessagesReceived) {
+		t.Errorf("registry counted %d received, run %d", got, stats.MessagesReceived)
+	}
+}
+
+// TestAsyncFailingAgentReleasesRun injects unretried send faults on every
+// link: some agent or the platform fails early, and the run must return
+// that error instead of waiting on a peer that already exited.
+func TestAsyncFailingAgentReleasesRun(t *testing.T) {
+	in := randomInstance(40, 9, 13)
+	for seed := uint64(1); seed <= 20; seed++ {
+		done := make(chan error, 1)
+		go func() {
+			_, err := RunAsyncInProcessOpts(in, AsyncRunOptions{
+				AgentSeedBase: seed,
+				Profile:       FaultProfile{SendErrProb: 0.3},
+				FaultSeed:     seed,
+			})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("fault seed %d: run succeeded despite unretried send faults", seed)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("fault seed %d: run still blocked after 5s", seed)
+		}
+	}
+}

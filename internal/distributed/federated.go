@@ -226,7 +226,8 @@ func addPerSlot(a, b []int) []int {
 // configuration comes from fopts.Platform; aopts contributes only the
 // agent-side knobs (AgentSeedBase, Deterministic, DupProb).
 func RunFederatedInProcess(in *core.Instance, fopts FederatedOptions, aopts InProcessOptions) (stats FederatedStats, err error) {
-	err = runAgentFleet(in, aopts, func(conns []Conn) error {
+	link, agent := inProcessFleet(in, aopts)
+	err = runAgentFleet(in.NumUsers(), link, agent, func(conns []Conn) error {
 		stats, err = RunFederated(in, conns, fopts)
 		return err
 	})

@@ -15,10 +15,11 @@ import (
 	"repro/internal/wire"
 )
 
-// This file is the federation's slot loop (nodeRun). ServeNode runs ONE
-// shard of a K-shard federation as its own process, connected to its
+// This file is the one slot loop of Algorithm 2 (nodeRun). ServeNode runs
+// ONE shard of a K-shard federation as its own process, connected to its
 // peers over TCP through the peer mesh of peerlink.go; RunFederated
-// (federated.go) runs all K shards in one process over in-memory links.
+// (federated.go) runs all K shards in one process over in-memory links;
+// a standalone Platform.Run is shard 0 of 1 over a mesh with no peers.
 // There is no coordinator. The round structure stays bulk-synchronous and
 // the selection stays globally exact through a symmetric-broadcast
 // argument:
@@ -142,7 +143,8 @@ func (t *transcriptWriter) printf(format string, args ...any) {
 }
 
 // nodeRun carries the per-run state of one federation shard: a ServeNode
-// process, or one of RunFederated's in-process shards.
+// process, one of RunFederated's in-process shards, or a standalone
+// platform (shard 0 of 1, no peers).
 type nodeRun struct {
 	in     *core.Instance
 	opts   NodeOptions
@@ -290,11 +292,9 @@ func ServeNode(agentLn, peerLn net.Listener, in *core.Instance, opts NodeOptions
 	return f.stats, err
 }
 
-// run drives this shard once its owned agents are connected (conns in
-// owned-user order): the standard init phase, the initial count batch,
-// then the slot loop from startSlot.
+// run builds this shard's platform once its owned agents are connected
+// (conns in owned-user order) and drives it.
 func (f *nodeRun) run(conns []Conn, startSlot int) (err error) {
-	start := time.Now()
 	self := f.opts.Shard
 	// Only shard 0 of an in-process federation observes, and it reports
 	// the shared global profile; a lone multi-node shard knows no global
@@ -311,6 +311,14 @@ func (f *nodeRun) run(conns []Conn, startSlot int) (err error) {
 	if f.choices != nil {
 		f.plat.choices = f.choices
 	}
+	return f.drive(startSlot)
+}
+
+// drive runs the built platform: the standard init phase, the initial
+// count batch, then the slot loop from startSlot. Every slotted run —
+// standalone, in-process federation and multi-node — goes through here.
+func (f *nodeRun) drive(startSlot int) error {
+	start := time.Now()
 	defer func() {
 		f.stats.MessagesSent = f.plat.ctr.Sent()
 		f.stats.MessagesReceived = f.plat.ctr.Recv()
@@ -318,7 +326,7 @@ func (f *nodeRun) run(conns []Conn, startSlot int) (err error) {
 	if err := f.plat.runInit(); err != nil {
 		return err
 	}
-	for _, u := range f.part.Owned[self] {
+	for _, u := range f.part.Owned[f.opts.Shard] {
 		f.tw.printf("init user %d route %d\n", u, f.plat.choices[u])
 	}
 	// Broadcast the initial count batch. A fresh federation stamps it
@@ -461,7 +469,9 @@ func (f *nodeRun) slotLoop(startSlot int) error {
 			f.finishChoices()
 			return nil
 		}
+		selSpan := telemetry.StartSpan(f.plat.tel.selectionTime)
 		winners := selectWinners(f.policy, f.rnd, merged)
+		selSpan.End()
 		for _, w := range winners {
 			f.tw.printf("slot %d user %d route %d\n", slot, w.User, w.Route)
 		}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/distributed/federation"
 	"repro/internal/engine"
-	"repro/internal/rng"
 	"repro/internal/telemetry"
 	"repro/internal/tracing"
 )
@@ -62,9 +61,10 @@ func WithSeed(seed uint64) Option {
 	return func(s *settings) { s.cfg.Seed = seed }
 }
 
-// WithAsync selects the asynchronous (slot-free) protocol variant; the
-// platform then runs via RunAsync (or Run, which adapts the async
-// statistics). Incompatible with WithShard.
+// WithAsync selects the asynchronous (slot-free) protocol variant, which
+// runs on the same platform state as the slotted one; the platform then
+// runs via RunAsync (or Run, which adapts the async statistics).
+// Incompatible with WithShard.
 func WithAsync() Option {
 	return func(s *settings) { s.async = true }
 }
@@ -107,8 +107,8 @@ func WithSlotTimeout(d time.Duration) Option {
 
 // WithShard builds the platform as shard k of a K-shard federation: it
 // serves only the users named by WithUsers (which becomes mandatory), and
-// reads the shared participation counts through a replicated
-// federation.Store instead of a local slice. Incompatible with WithAsync.
+// its federation.Store replicates the shared participation counts across
+// K shards instead of holding them alone. Incompatible with WithAsync.
 func WithShard(k, total int) Option {
 	return func(s *settings) {
 		if total < 1 {
@@ -196,23 +196,6 @@ func New(in *core.Instance, conns []Conn, opts ...Option) (*Platform, error) {
 		reg = telemetry.Default()
 	}
 
-	if s.async {
-		raw := conns
-		if s.timeout > 0 {
-			raw = make([]Conn, len(conns))
-			for i, c := range conns {
-				raw[i] = WithTimeout(c, s.timeout)
-			}
-		}
-		ap, err := newAsyncPlatform(in, raw)
-		if err != nil {
-			return nil, err
-		}
-		ap.observer = cfg.Observer
-		ap.tracer = cfg.Tracer
-		return &Platform{in: in, cfg: cfg, async: ap, ctr: &Counter{}}, nil
-	}
-
 	tel := newPlatformTelemetry(reg, users, s.shard)
 	ctr := &Counter{}
 	wrapped := make([]Conn, len(conns))
@@ -224,36 +207,31 @@ func New(in *core.Instance, conns []Conn, opts ...Option) (*Platform, error) {
 		// final Seq, outside the counters so they time the real operation.
 		wrapped[li] = WithSeq(WithTrace(WithCounter(tel.wrap(c, li), ctr), cfg.Tracer, users[li]), -1)
 	}
-	p := &Platform{
+	st := s.store
+	if st == nil {
+		// A standalone platform keeps its counts in a one-shard store.
+		var err error
+		if st, err = federation.NewStore(in.NumTasks(), max(s.shard, 0), max(s.shards, 1)); err != nil {
+			return nil, err
+		}
+	} else if st.Shard() != s.shard || st.Shards() != s.shards {
+		return nil, fmt.Errorf("distributed: store is shard %d/%d, platform is %d/%d",
+			st.Shard(), st.Shards(), s.shard, s.shards)
+	}
+	return &Platform{
 		in:      in,
 		conns:   wrapped,
 		cfg:     cfg,
-		rnd:     rng.New(cfg.Seed),
 		users:   users,
 		local:   local,
 		shard:   s.shard,
 		shards:  s.shards,
+		store:   st,
 		choices: make([]int, in.NumUsers()),
 		inited:  make([]bool, in.NumUsers()),
 		ctr:     ctr,
 		tel:     tel,
 		tr:      cfg.Tracer,
-	}
-	if s.shards > 0 {
-		st := s.store
-		if st == nil {
-			var err error
-			if st, err = federation.NewStore(in.NumTasks(), s.shard, s.shards); err != nil {
-				return nil, err
-			}
-		} else if st.Shard() != s.shard || st.Shards() != s.shards {
-			return nil, fmt.Errorf("distributed: store is shard %d/%d, platform is %d/%d",
-				st.Shard(), st.Shards(), s.shard, s.shards)
-		}
-		p.fed = st
-		p.store = st
-	} else {
-		p.store = sliceCounts(make([]int, in.NumTasks()))
-	}
-	return p, nil
+		async:   s.async,
+	}, nil
 }

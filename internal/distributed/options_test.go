@@ -80,8 +80,8 @@ func TestNewOptionDefaults(t *testing.T) {
 	if shard, shards := p.Shard(); shard != -1 || shards != 0 {
 		t.Errorf("standalone platform reports shard %d/%d, want -1/0", shard, shards)
 	}
-	if p.fed != nil {
-		t.Error("standalone platform has a federation store")
+	if st := p.store; st == nil || st.Shard() != 0 || st.Shards() != 1 {
+		t.Error("standalone platform holds no one-shard store (shard 0 of 1)")
 	}
 	if got := p.Users(); len(got) != 4 || got[0] != 0 || got[3] != 3 {
 		t.Errorf("default users %v, want [0 1 2 3]", got)
@@ -94,7 +94,7 @@ func TestNewOptionDefaults(t *testing.T) {
 	if shard, shards := sharded.Shard(); shard != 1 || shards != 2 {
 		t.Errorf("sharded platform reports %d/%d, want 1/2", shard, shards)
 	}
-	st := sharded.fed
+	st := sharded.store
 	if st == nil {
 		t.Fatal("sharded platform built no store")
 	}
@@ -122,7 +122,7 @@ func TestNewRunsWithOptions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		async := p.async != nil
+		async := p.async
 		done := make(chan error, n)
 		for i := 0; i < n; i++ {
 			go func(i int) {

@@ -101,24 +101,6 @@ type RunStats struct {
 	MessagesSent, MessagesReceived int
 }
 
-// countStore abstracts where the per-task participation counts n_k live:
-// a plain slice for a standalone platform, or a gossip-replicated
-// federation.Store when the platform is one shard of a federated run.
-type countStore interface {
-	// Add applies a local move's delta to one task count.
-	Add(task, delta int)
-	// View returns the full count vector, reusing dst when possible. A
-	// sharded platform snapshots once per slot so every SlotInfo of a
-	// round quotes the same round-start counts.
-	View(dst []int) []int
-}
-
-// sliceCounts is the standalone store: a bare slice, viewed in place.
-type sliceCounts []int
-
-func (s sliceCounts) Add(task, delta int) { s[task] += delta }
-func (s sliceCounts) View([]int) []int    { return s }
-
 // Platform is the platform-side state machine of Algorithm 2. It knows the
 // full instance topology (routes, tasks, costs) but never the users'
 // preference weights, which stay on the agents.
@@ -126,12 +108,13 @@ func (s sliceCounts) View([]int) []int    { return s }
 // A Platform serves either the whole user population (the classic layout)
 // or, when built with WithShard, the subset of users a federation shard
 // owns: the slot protocol below is entirely shard-local, with the shared
-// participation counts read through the replicated store.
+// participation counts read through the replicated store. Either way the
+// slot loop is nodeRun's (node.go); the asynchronous variant (async.go)
+// runs on the same state.
 type Platform struct {
 	in    *core.Instance
 	conns []Conn
 	cfg   PlatformConfig
-	rnd   *rng.Stream
 
 	// users[li] is the global user ID served by conns[li]; local[u] is the
 	// inverse (-1 for users owned by other shards).
@@ -139,12 +122,11 @@ type Platform struct {
 	local []int
 
 	// shard/shards identify this platform's slice of a federated run;
-	// shard is -1 for a standalone platform. fed is the replicated count
-	// store (nil when standalone).
+	// shard is -1 for a standalone platform, which keeps its counts in a
+	// one-shard store and runs as shard 0 of 1 with no peers.
 	shard, shards int
-	fed           *federation.Store
+	store         *federation.Store
 
-	store   countStore
 	view    []int // per-slot snapshot of store counts
 	choices []int
 	// inited[u] is set once user u's initial decision is applied; until
@@ -154,9 +136,9 @@ type Platform struct {
 	ctr    *Counter
 	tel    *platformTelemetry
 
-	// async, when non-nil, holds the asynchronous engine this Platform was
-	// configured with (WithAsync); Run delegates to it.
-	async *asyncPlatform
+	// async selects the asynchronous protocol (WithAsync): Run and
+	// RunAsync drive runAsync instead of the slot loop.
+	async bool
 
 	tr *tracing.Tracer
 	// traceCtx is the span context stamped onto every outgoing message:
@@ -250,8 +232,7 @@ func (p *Platform) slotMsg(u, slot int) *wire.Message {
 }
 
 // applyDecision moves user u to route c, updating counts through the
-// store (which, on a shard, also buffers the deltas for the next gossip
-// flush).
+// store (which also buffers the deltas for the next gossip flush).
 func (p *Platform) applyDecision(u, c int, initial bool) error {
 	if c < 0 || c >= len(p.in.Users[u].Routes) {
 		return fmt.Errorf("distributed: user %d decided out-of-range route %d", u, c)
@@ -483,66 +464,42 @@ func (p *Platform) terminate(slot int) error {
 
 // Run executes the protocol to completion and returns the run statistics.
 // A platform built with WithAsync runs the asynchronous variant (see
-// RunAsync for the async-specific statistics); otherwise this is
-// Algorithm 2 over the served users.
-func (p *Platform) Run() (stats RunStats, err error) {
-	if p.async != nil {
-		as, err := p.async.Run()
+// RunAsync for the async-specific statistics); otherwise it runs
+// Algorithm 2 over the served users through the federation's slot loop,
+// as shard 0 of a one-shard federation with no peers.
+func (p *Platform) Run() (RunStats, error) {
+	if p.async {
+		as, err := p.runAsync()
 		return RunStats{
-			Slots:        as.Versions,
-			Converged:    as.Converged,
-			Choices:      as.Choices,
-			TotalUpdates: as.TotalUpdates,
+			Slots:            as.Versions,
+			Converged:        as.Converged,
+			Choices:          as.Choices,
+			TotalUpdates:     as.TotalUpdates,
+			MessagesSent:     p.ctr.Sent(),
+			MessagesReceived: p.ctr.Recv(),
 		}, err
 	}
-	defer func() {
-		stats.MessagesSent = p.ctr.Sent()
-		stats.MessagesReceived = p.ctr.Recv()
-	}()
-	runStart := time.Now()
-	if err := p.runInit(); err != nil {
-		return stats, err
+	f := &nodeRun{
+		in:     p.in,
+		opts:   NodeOptions{Shards: 1, Platform: p.cfg},
+		part:   federation.Partition{Shards: 1, Assign: make([]int, p.in.NumUsers()), Owned: [][]int{p.users}},
+		st:     p.store,
+		mesh:   newLocalMesh(0, nil, p.store),
+		plat:   p,
+		policy: p.cfg.Policy,
+		rnd:    rng.New(p.cfg.Seed),
 	}
-	p.observe(0, 0, nil, time.Since(runStart))
-	// Decision slots (Algorithm 2 lines 5–10).
-	for slot := 1; slot <= p.cfg.MaxSlots; slot++ {
-		slotTimer := telemetry.StartSpan(p.tel.slotDuration)
-		requests, err := p.collectRequests(slot)
-		if err != nil {
-			return stats, err
-		}
-		if len(requests) == 0 {
-			// Algorithm 2 lines 11–12: equilibrium; terminate everyone.
-			if err := p.terminate(slot); err != nil {
-				return stats, err
-			}
-			stats.Converged = true
-			stats.Choices = append([]int(nil), p.choices...)
-			return stats, nil
-		}
-		stats.Slots = slot
-		stats.RequestsPerSlot = append(stats.RequestsPerSlot, len(requests))
-		selSpan := telemetry.StartSpan(p.tel.selectionTime)
-		winners := selectWinners(p.cfg.Policy, p.rnd, requests)
-		selSpan.End()
-		stats.SelectedPerSlot = append(stats.SelectedPerSlot, len(winners))
-		stats.TotalUpdates += len(winners)
-		if err := p.commitSlot(slot, winners); err != nil {
-			return stats, err
-		}
-		p.observe(slot, len(requests), winners, slotTimer.End())
-	}
-	stats.Choices = append([]int(nil), p.choices...)
-	return stats, fmt.Errorf("distributed: %w (%d slots)", ErrNoConvergence, p.cfg.MaxSlots)
+	err := f.drive(1)
+	return f.stats.RunStats, err
 }
 
 // RunAsync executes the asynchronous protocol on a platform built with
 // WithAsync, returning the async-specific statistics.
 func (p *Platform) RunAsync() (AsyncStats, error) {
-	if p.async == nil {
+	if !p.async {
 		return AsyncStats{}, errors.New("distributed: RunAsync on a slot-synchronous platform (build with WithAsync)")
 	}
-	return p.async.Run()
+	return p.runAsync()
 }
 
 // observe builds this slot's Observation (with copies of the mutable
@@ -573,8 +530,9 @@ func (p *Platform) observe(slot, requests int, winners []engine.Request, elapsed
 }
 
 // selectWinners applies a selection policy to a slot's requests
-// (Algorithm 2 line 8). It is shared by the standalone platform and every
-// federation shard, which selects over the merged cross-shard request set.
+// (Algorithm 2 line 8). nodeRun.slotLoop calls it once per round on every
+// shard, over the merged cross-shard request set; a standalone platform is
+// shard 0 of 1.
 func selectWinners(policy SelectionPolicy, rnd *rng.Stream, requests []engine.Request) []engine.Request {
 	switch policy {
 	case PUU:

@@ -27,7 +27,8 @@ type InProcessOptions struct {
 // the platform's statistics. Agent errors are joined into the returned
 // error.
 func RunInProcess(in *core.Instance, opts InProcessOptions) (stats RunStats, err error) {
-	err = runAgentFleet(in, opts, func(conns []Conn) error {
+	link, agent := inProcessFleet(in, opts)
+	err = runAgentFleet(in.NumUsers(), link, agent, func(conns []Conn) error {
 		plat, err := New(in, conns, WithConfig(opts.Platform))
 		if err != nil {
 			return err
@@ -38,51 +39,69 @@ func RunInProcess(in *core.Instance, opts InProcessOptions) (stats RunStats, err
 	return stats, err
 }
 
-// runAgentFleet runs one in-process agent goroutine per user while
-// platform drives the protocol over the platform ends of their channel
-// links (with seeded duplicate injection when opts.DupProb is set). Agents
-// still waiting on a platform that failed are released by closing its
-// ends. The platform's error wins; otherwise the first agent error is
-// returned.
-func runAgentFleet(in *core.Instance, opts InProcessOptions, platform func(conns []Conn) error) error {
-	n := in.NumUsers()
-	platConns := make([]Conn, n)
-	agentConns := make([]Conn, n)
-	for i := 0; i < n; i++ {
+// agentRunner is a user-side protocol loop: Agent or AsyncAgent.
+type agentRunner interface{ Run() error }
+
+// inProcessFleet returns the link builder and agent constructor of the
+// slotted in-process runners: channel links, with seeded duplicate
+// injection on both ends when opts.DupProb is set, and one Agent per user.
+func inProcessFleet(in *core.Instance, opts InProcessOptions) (func(int) (Conn, Conn), func(int, Conn) agentRunner) {
+	link := func(i int) (Conn, Conn) {
 		pc, ac := ChanPair(16)
 		if opts.DupProb > 0 {
-			// Fault injection uses a seeded child schedule per link for
-			// determinism.
-			pc = NewFaultConn(pc, FaultProfile{DupProb: opts.DupProb}, faultSeed(opts.AgentSeedBase, i, 0), nil)
-			ac = NewFaultConn(ac, FaultProfile{DupProb: opts.DupProb}, faultSeed(opts.AgentSeedBase, i, 1), nil)
+			dup := FaultProfile{DupProb: opts.DupProb}
+			pc = NewFaultConn(pc, dup, faultSeed(opts.AgentSeedBase, i, 0), nil)
+			ac = NewFaultConn(ac, dup, faultSeed(opts.AgentSeedBase, i, 1), nil)
 		}
-		platConns[i], agentConns[i] = pc, ac
+		return pc, ac
 	}
-	u := in.Users
-	var wg sync.WaitGroup
-	agentErrs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			a := NewAgent(agentConns[i], AgentConfig{
-				User:          i,
-				Alpha:         u[i].Alpha,
-				Beta:          u[i].Beta,
-				Gamma:         u[i].Gamma,
-				Seed:          opts.AgentSeedBase + uint64(i),
-				Deterministic: opts.Deterministic,
-			})
-			agentErrs[i] = a.Run()
-		}(i)
+	agent := func(i int, c Conn) agentRunner {
+		u := in.Users[i]
+		return NewAgent(c, AgentConfig{
+			User: i, Alpha: u.Alpha, Beta: u.Beta, Gamma: u.Gamma,
+			Seed:          opts.AgentSeedBase + uint64(i),
+			Deterministic: opts.Deterministic,
+		})
 	}
-	perr := platform(platConns)
-	if perr != nil {
+	return link, agent
+}
+
+// runAgentFleet runs one in-process agent goroutine per user while
+// platform drives the protocol over the platform ends of their links:
+// link(i) returns user i's platform and agent ends, agent(i, conn) builds
+// user i's agent. A failed agent's end is closed, which fails the
+// platform's next operation on that link; the platform ends are closed
+// when the platform fails, which releases every agent still waiting on
+// it, and once every agent has returned. The platform's error wins;
+// otherwise the first agent error is returned.
+func runAgentFleet(n int, link func(int) (Conn, Conn), agent func(int, Conn) agentRunner, platform func(conns []Conn) error) error {
+	platConns := make([]Conn, n)
+	agentConns := make([]Conn, n)
+	for i := range platConns {
+		platConns[i], agentConns[i] = link(i)
+	}
+	closeAll := func() {
 		for _, c := range platConns {
 			c.Close()
 		}
 	}
+	var wg sync.WaitGroup
+	agentErrs := make([]error, n)
+	for i := range agentConns {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if agentErrs[i] = agent(i, agentConns[i]).Run(); agentErrs[i] != nil {
+				agentConns[i].Close()
+			}
+		}(i)
+	}
+	perr := platform(platConns)
+	if perr != nil {
+		closeAll()
+	}
 	wg.Wait()
+	closeAll()
 	for i, e := range agentErrs {
 		if e != nil && perr == nil {
 			perr = fmt.Errorf("agent %d: %w", i, e)
