@@ -38,13 +38,19 @@ type FederationEntry struct {
 	Converged  bool `json:"converged"`
 	// SlotSeconds is the wall time of the slot loop (init handshake
 	// excluded); SlotsPerSec = ShardSlots / SlotSeconds.
-	SlotSeconds   float64 `json:"slot_seconds"`
-	SlotsPerSec   float64 `json:"slots_per_sec"`
-	GossipBatches int     `json:"gossip_batches"`
-	GossipCounts  int     `json:"gossip_counts"`
-	MessagesSent  int     `json:"messages_sent"`
-	MessagesRecv  int     `json:"messages_received"`
-	TotalUpdates  int     `json:"total_updates"`
+	SlotSeconds float64 `json:"slot_seconds"`
+	SlotsPerSec float64 `json:"slots_per_sec"`
+	// RoundsPerSec = Rounds / SlotSeconds is the global round rate a user
+	// feels, whatever K is. MessagesPerRound = (MessagesSent +
+	// MessagesRecv) / Rounds is the platform-side traffic per global
+	// round, the init handshake included.
+	RoundsPerSec     float64 `json:"rounds_per_sec"`
+	MessagesPerRound float64 `json:"messages_per_round"`
+	GossipBatches    int     `json:"gossip_batches"`
+	GossipCounts     int     `json:"gossip_counts"`
+	MessagesSent     int     `json:"messages_sent"`
+	MessagesRecv     int     `json:"messages_received"`
+	TotalUpdates     int     `json:"total_updates"`
 }
 
 // FederationSpeedup records the throughput ratio of one shard count
@@ -116,6 +122,10 @@ func RunFederationSuite(m, rounds int, ks []int) (FederationReport, error) {
 		}
 		if e.SlotSeconds > 0 {
 			e.SlotsPerSec = float64(e.ShardSlots) / e.SlotSeconds
+			e.RoundsPerSec = float64(e.Rounds) / e.SlotSeconds
+		}
+		if e.Rounds > 0 {
+			e.MessagesPerRound = float64(e.MessagesSent+e.MessagesRecv) / float64(e.Rounds)
 		}
 		rep.Entries = append(rep.Entries, e)
 	}

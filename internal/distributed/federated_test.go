@@ -407,7 +407,8 @@ func TestFederatedObserverReportsAppliedDecisions(t *testing.T) {
 }
 
 // TestFederatedShardFailureFailsFast makes one shard's agent break the
-// protocol mid-run (a Decision where a Request is due) and checks the
+// protocol (a Decision where its slot-1 Request is due; slot 1 queries
+// every user, later slots only those whose view changed) and checks the
 // federation returns that shard's error promptly — its peers must not
 // wait out a peer timeout — and leaves no goroutine behind.
 func TestFederatedShardFailureFailsFast(t *testing.T) {
@@ -423,8 +424,8 @@ func TestFederatedShardFailureFailsFast(t *testing.T) {
 				return c
 			}
 			return &sendHook{Conn: c, rewrite: func(m *wire.Message) *wire.Message {
-				if m.Kind == wire.KindRequest && m.Request.Slot == 2 {
-					return &wire.Message{Kind: wire.KindDecision, Decision: &wire.Decision{Slot: 2}}
+				if m.Kind == wire.KindRequest && m.Request.Slot == 1 {
+					return &wire.Message{Kind: wire.KindDecision, Decision: &wire.Decision{Slot: 1}}
 				}
 				return m
 			}}

@@ -129,6 +129,17 @@ type Platform struct {
 
 	view    []int // per-slot snapshot of store counts
 	choices []int
+	// prevView is the previous slot's count snapshot; collectRequests
+	// diffs it against view to find the users whose answer may change.
+	prevView []int
+	// taskUsers[k] lists the served users (local indices) with task k on
+	// any candidate route. dirty[li] marks a user collectRequests must
+	// re-query; standing[li] is its last Request, which answers for it
+	// while it stays clean. All three are built by the first slot after
+	// (re)start, which queries every user.
+	taskUsers [][]int
+	dirty     []bool
+	standing  []*wire.Request
 	// inited[u] is set once user u's initial decision is applied; until
 	// then a reconnecting agent is re-sent Init with CurrentRoute -1 so it
 	// decides afresh instead of trusting a zero-valued record.
@@ -362,35 +373,49 @@ func (p *Platform) runInit() error {
 	return nil
 }
 
-// collectRequests opens decision slot `slot` for every served user: it
-// snapshots the count store, broadcasts SlotInfo views, and gathers one
-// Request per user, returning the improvement requests (Algorithm 2 lines
-// 5–7). The slot's tracing span stays open until commitSlot or terminate.
+// collectRequests opens decision slot `slot` (Algorithm 2 lines 5–7): it
+// snapshots the count store, sends SlotInfo to every dirty served user
+// and takes its Request, then returns the improvement requests of all
+// served users in served-user order. A clean user is not queried: its
+// best response depends only on the counts of tasks on its own routes
+// and on its current route, and neither changed since its last Request,
+// which therefore still stands as its exact answer. The slot's tracing
+// span stays open until commitSlot or terminate.
 func (p *Platform) collectRequests(slot int) ([]engine.Request, error) {
 	span := p.tr.StartSpan(p.tr.StartTrace(), tracing.KindSlot, -1, slot)
 	p.traceCtx = span.Context()
 	p.slotSpan = span
-	p.view = p.store.View(p.view)
+	p.prevView, p.view = p.view, p.store.View(p.prevView)
+	p.markDirty()
 	rtSpan := telemetry.StartSpan(p.tel.slotRoundtrip)
 	for li := range p.conns {
+		if !p.dirty[li] {
+			continue
+		}
 		if err := p.send(li, p.slotMsg(p.users[li], slot)); err != nil {
 			return nil, err
 		}
+		p.tel.queried.Inc()
 	}
 	var requests []engine.Request
 	for li := range p.conns {
-		m, err := p.expect(li, wire.KindRequest, slot, false)
-		if err != nil {
-			return nil, err
-		}
-		r := m.Request
-		if r.Slot != slot {
-			return nil, fmt.Errorf("distributed: user %d replied for slot %d in slot %d", p.users[li], r.Slot, slot)
-		}
-		if r.HasUpdate {
-			if err := checkTau(r.Tau); err != nil {
-				return nil, fmt.Errorf("distributed: user %d in slot %d: %w", p.users[li], slot, err)
+		if p.dirty[li] {
+			m, err := p.expect(li, wire.KindRequest, slot, false)
+			if err != nil {
+				return nil, err
 			}
+			r := m.Request
+			if r.Slot != slot {
+				return nil, fmt.Errorf("distributed: user %d replied for slot %d in slot %d", p.users[li], r.Slot, slot)
+			}
+			if r.HasUpdate {
+				if err := checkTau(r.Tau); err != nil {
+					return nil, fmt.Errorf("distributed: user %d in slot %d: %w", p.users[li], slot, err)
+				}
+			}
+			p.standing[li], p.dirty[li] = r, false
+		}
+		if r := p.standing[li]; r.HasUpdate {
 			requests = append(requests, engine.Request{
 				User: core.UserID(p.users[li]), Route: r.Route, Tau: r.Tau, B: r.B,
 			})
@@ -400,6 +425,39 @@ func (p *Platform) collectRequests(slot int) ([]engine.Request, error) {
 	p.tel.requests.Add(uint64(len(requests)))
 	p.lastRequests = len(requests)
 	return requests, nil
+}
+
+// markDirty marks the served users this slot must re-query. In the first
+// slot after (re)start that is everyone; afterwards it is every user with
+// a task on some candidate route whose count differs from the previous
+// slot's view. The view is read after the gossip barrier, so it holds
+// every shard's moves and any crash-recovery retraction; commitSlot marks
+// the granted users, whose current route may have changed.
+func (p *Platform) markDirty() {
+	if p.standing == nil {
+		p.standing = make([]*wire.Request, len(p.conns))
+		p.dirty = make([]bool, len(p.conns))
+		p.taskUsers = make([][]int, p.in.NumTasks())
+		for li, u := range p.users {
+			p.dirty[li] = true
+			for _, r := range p.in.Users[u].Routes {
+				for _, k := range r.Tasks {
+					// A task on several of u's routes is listed once.
+					if us := p.taskUsers[k]; len(us) == 0 || us[len(us)-1] != li {
+						p.taskUsers[k] = append(us, li)
+					}
+				}
+			}
+		}
+		return
+	}
+	for k, n := range p.view {
+		if n != p.prevView[k] {
+			for _, li := range p.taskUsers[k] {
+				p.dirty[li] = true
+			}
+		}
+	}
 }
 
 // checkTau rejects a request whose τ_i is NaN or infinite. An honest agent
@@ -435,6 +493,7 @@ func (p *Platform) commitSlot(slot int, winners []engine.Request) error {
 		if m.Decision.Slot != slot {
 			return fmt.Errorf("distributed: user %d decision for slot %d in slot %d", p.users[li], m.Decision.Slot, slot)
 		}
+		p.dirty[li] = true
 		u := int(w.User)
 		old := p.choices[u]
 		if err := p.applyDecision(u, m.Decision.Route, false); err != nil {

@@ -43,6 +43,7 @@ type platformTelemetry struct {
 	selectionTime *telemetry.Histogram // winner selection (SUU/PUU/DET)
 	slots         *telemetry.Counter
 	requests      *telemetry.Counter
+	queried       *telemetry.Counter // SlotInfos collectRequests sent to dirty users
 	grants        *telemetry.Counter
 	reconnects    *telemetry.Counter // Hello{Resume} resyncs mid-protocol
 	regrants      *telemetry.Counter // Grants re-sent to restarted winners
@@ -70,6 +71,7 @@ func newPlatformTelemetry(reg *telemetry.Registry, users []int, shard int) *plat
 		selectionTime: reg.Histogram("distributed_selection_seconds"+suffix, nil),
 		slots:         reg.Counter("distributed_slots_total" + suffix),
 		requests:      reg.Counter("distributed_requests_total" + suffix),
+		queried:       reg.Counter("distributed_queried_total" + suffix),
 		grants:        reg.Counter("distributed_grants_total" + suffix),
 		reconnects:    reg.Counter("distributed_reconnects_total" + suffix),
 		regrants:      reg.Counter("distributed_regrants_total" + suffix),
